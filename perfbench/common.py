@@ -26,9 +26,11 @@ class Measurement:
     correctness checks fails. ``work_s`` is the cost the trace overhead is
     taken over (the same work in the traced and the untraced pass).
     ``checksum`` digests the program's outputs, so the two passes can be
-    compared. ``throughput`` is the workload's end-to-end rate, ``named``
-    the issue-named user-visible metrics as ``{name: (value, unit)}`` and
-    ``layer`` the per-layer values that need no trace.
+    compared. ``throughput`` is the workload's end-to-end rate over
+    reference seconds (``speed.py``) and ``raw_throughput`` the same rate
+    over wall seconds; ``named`` holds the issue-named user-visible metrics
+    as ``{name: (value, unit)}`` and ``layer`` the per-layer values that
+    need no trace.
     """
 
     ops: int = 0
@@ -37,6 +39,7 @@ class Measurement:
     checksum: str = ""
     work_s: float = 0.0
     throughput: float = 0.0
+    raw_throughput: float = 0.0
     named: dict[str, tuple[float, str]] = field(default_factory=dict)
     layer: dict[str, float] = field(default_factory=dict)
 
@@ -47,6 +50,17 @@ class Measurement:
         if bad:
             self.failed += 1
             self.failures.append(f"{label}: {', '.join(bad)}")
+
+
+#: Workload seeds a run cycles through. One seed's trace can cost a fifth
+#: more per job than another's, so the scheduler workloads report jobs per
+#: second over several seeds' traces rather than one seed's.
+SUB_SEEDS = 3
+
+
+def sub_seeds(seed: int) -> tuple[int, ...]:
+    """The workload seeds a run with ``--seed seed`` cycles through."""
+    return tuple(SUB_SEEDS * seed + k for k in range(SUB_SEEDS))
 
 
 def median(values: list[float]) -> float:

@@ -24,6 +24,7 @@ from repro.live.monitor import build_monitor
 from repro.live.supervisor import SupervisorConfig
 from repro.telemetry.series import TimeSeries
 from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from speed import CLOCK
 from tracing import NullTracer, Tracer
 
 REQUIRED = (
@@ -128,7 +129,8 @@ def run(inputs: Inputs, budget_s: float, tracer: Tracer | NullTracer) -> Measure
         instrument(tracer)
     out = Measurement()
     rates: list[float] = []
-    walls: list[float] = []
+    raw_rates: list[float] = []
+    costs: list[float] = []
     checksums: set[str] = set()
     last: dict[str, float] = {}
     full_ckpt = inputs.workdir / "monitor-full.ckpt"
@@ -138,10 +140,12 @@ def run(inputs: Inputs, budget_s: float, tracer: Tracer | NullTracer) -> Measure
         t0 = time.perf_counter()
         with tracer.span("live.run"):
             report = pipeline.run(*_sources(inputs))
-        wall = time.perf_counter() - t0
+        t1 = time.perf_counter()
         metrics = report.metrics
-        walls.append(wall)
-        rates.append(metrics.total_samples_in / wall)
+        ref_s = CLOCK.reference_s(t0, t1)
+        costs.append(ref_s)
+        rates.append(metrics.total_samples_in / ref_s)
+        raw_rates.append(metrics.total_samples_in / (t1 - t0))
         full = _outcome(report, detector, tracker)
         checksum = digest(repr(full))
         checksums.add(checksum)
@@ -174,8 +178,9 @@ def run(inputs: Inputs, budget_s: float, tracer: Tracer | NullTracer) -> Measure
             out.check("monitor kill and resume", checks)
 
     n = repeat_for(budget_s, once)
-    out.work_s = median(walls)
+    out.work_s = median(costs)
     out.throughput = median(rates)
+    out.raw_throughput = median(raw_rates)
     out.named["samples_per_s"] = (out.throughput, "1/s")
     out.named["resume_s"] = (last["resume_s"], "s")
     out.layer.update(
@@ -222,7 +227,7 @@ def _kill_and_resume(inputs: Inputs, full: tuple, tracer: Tracer | NullTracer) -
     with tracer.span("live.resume"):
         resumed, detector, tracker, _ = _monitor(tracer, checkpoint)
         resumed.resume_from(checkpoint)
-    resume_s = time.perf_counter() - t0
+    resume_s = CLOCK.reference_s(t0, time.perf_counter())
     with tracer.span("live.run_resumed"):
         report = resumed.run(*_sources(inputs))
     checks = {

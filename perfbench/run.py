@@ -27,6 +27,15 @@ if tracing changed the program's outputs.
 Set-up time is a fresh-process ``import`` of the workload's modules plus
 building its inputs, taken here and in two more fresh processes; the
 median is reported.
+
+Rates and set-up time are reported in reference seconds (``speed.py``):
+wall time scaled by the machine's speed, which a reference call timed
+every 50 ms samples while the program runs, so a slow spell on a shared
+host does not read as a slower program. Per-layer times and resume times are read the same
+way; latencies are wall time. The wall-clock rate and set-up time are
+reported per layer beside them (``machine.raw_throughput_per_s``,
+``machine.raw_setup_s``), with the speed itself (``machine.speed``, 1.0 on
+the nominal machine).
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from speed import CLOCK
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -70,13 +81,16 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def load_workload(name: str):
-    """Import the workload module and, through it, the program; time it."""
+    """Import the workload module and, through it, the program.
+
+    Returns the module and the wall interval the import took.
+    """
     if not (SRC / "repro" / "__init__.py").is_file():
         raise SystemExit(f"perfbench: no program to benchmark: {SRC / 'repro'} is missing")
     sys.path.insert(0, str(SRC))
     t0 = time.perf_counter()
     module = importlib.import_module(name)
-    return module, time.perf_counter() - t0
+    return module, (t0, time.perf_counter())
 
 
 def setup_probe(args: argparse.Namespace) -> dict:
@@ -93,49 +107,65 @@ def setup_probe(args: argparse.Namespace) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = parse_args(argv)
-    workload, import_s = load_workload(args.workload)
+def measure(workload, inputs, args: argparse.Namespace, machine: dict, scratch: Path):
+    """Run the workload untraced, or an untraced and a traced half-pass.
 
-    import common
+    Returns the measurement, the untraced half-pass of a traced run (else
+    ``None``) and the path of the trace written (else ``None``).
+    """
     from tracing import NullTracer, Tracer
 
-    machine = common.machine_state()
+    if not args.trace:
+        return workload.run(inputs, args.seconds, NullTracer()), None, None
+    plain = workload.run(inputs, args.seconds / 2, NullTracer())
+    tracer = Tracer()
+    origin = time.perf_counter()
+    try:
+        measured = workload.run(inputs, args.seconds / 2, tracer)
+    finally:
+        tracer.unpatch()
+    trace_path = scratch / "traces" / f"{args.workload}-seed{args.seed}.jsonl"
+    header = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds}
+    tracer.write_jsonl(trace_path, origin, {**header, "machine": machine})
+    checks = {f"calls at {name}": tracer.calls(name) > 0 for name in workload.REQUIRED}
+    checks["traced and untraced outputs equal"] = measured.checksum == plain.checksum
+    measured.check("traced run", checks)
+    measured.ops += plain.ops
+    measured.failed += plain.failed
+    measured.failures += plain.failures
+    return measured, plain, trace_path
 
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     scratch = ROOT / ".perfbench"
+    with CLOCK:
+        workload, import_span = load_workload(args.workload)
     scratch.mkdir(exist_ok=True)
     workdir = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=scratch))
     try:
-        t0 = time.perf_counter()
-        inputs = workload.build_inputs(args.seed, args.seconds, workdir)
-        inputs_s = time.perf_counter() - t0
+        with CLOCK:
+            t0 = time.perf_counter()
+            inputs = workload.build_inputs(args.seed, args.seconds, workdir)
+            inputs_span = (t0, time.perf_counter())
+        setup = {
+            "import_s": CLOCK.reference_s(*import_span),
+            "inputs_s": CLOCK.reference_s(*inputs_span),
+            "wall_s": import_span[1] - import_span[0] + inputs_span[1] - inputs_span[0],
+        }
         if args.setup_probe:
-            print(json.dumps({"import_s": import_s, "inputs_s": inputs_s}))
+            print(json.dumps(setup))
             return 0
 
-        setups = [{"import_s": import_s, "inputs_s": inputs_s}]
-        setups += [setup_probe(args) for _ in range(SETUP_SAMPLES - 1)]
-        setup_s = common.median([s["import_s"] + s["inputs_s"] for s in setups])
+        import common
 
-        if args.trace:
-            plain = workload.run(inputs, args.seconds / 2, NullTracer())
-            tracer = Tracer()
-            origin = time.perf_counter()
-            try:
-                measured = workload.run(inputs, args.seconds / 2, tracer)
-            finally:
-                tracer.unpatch()
-            trace_path = scratch / "traces" / f"{args.workload}-seed{args.seed}.jsonl"
-            header = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds}
-            tracer.write_jsonl(trace_path, origin, {**header, "machine": machine})
-            checks = {f"calls at {name}": tracer.calls(name) > 0 for name in workload.REQUIRED}
-            checks["traced and untraced outputs equal"] = measured.checksum == plain.checksum
-            measured.check("traced run", checks)
-            measured.ops += plain.ops
-            measured.failed += plain.failed
-            measured.failures += plain.failures
-        else:
-            measured = workload.run(inputs, args.seconds, NullTracer())
+        machine = common.machine_state()
+        setups = [setup] + [setup_probe(args) for _ in range(SETUP_SAMPLES - 1)]
+        setup_s = common.median([s["import_s"] + s["inputs_s"] for s in setups])
+        with CLOCK:
+            start = time.perf_counter()
+            measured, plain, trace_path = measure(workload, inputs, args, machine, scratch)
+            speed = CLOCK.speed(start, time.perf_counter())
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -144,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     print("machine:", json.dumps(machine, sort_keys=True))
     for name, (value, unit) in measured.named.items():
         print(f"  {name:<16} {value:14.4f} {unit}")
+    print(f"  at wall-clock speed {measured.raw_throughput:14.4f} 1/s (machine speed {speed:.3f})")
     for failure in measured.failures:
         print(f"  FAILED {failure}", file=sys.stderr)
     print(f"  checks: {measured.ops - measured.failed}/{measured.ops} operations passed")
@@ -155,6 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         layer["setup.import_s"] = common.median([s["import_s"] for s in setups])
         layer["setup.inputs_s"] = common.median([s["inputs_s"] for s in setups])
         layer["trace.overhead"] = measured.work_s / plain.work_s
+        layer["machine.speed"] = speed
+        layer["machine.raw_throughput_per_s"] = plain.raw_throughput
+        layer["machine.raw_setup_s"] = common.median([s["wall_s"] for s in setups])
         specs = benchmark["per_layer"]
     else:
         layer = {

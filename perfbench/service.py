@@ -41,6 +41,7 @@ from repro.engine.runner import run_sweep
 from repro.service import AdmissionController, FacilityCore, FacilityService
 from repro.service.envelope import ServiceRequest, ServiceResponse
 from repro.service.router import ServiceRouter
+from speed import CLOCK
 from tracing import NullTracer, Tracer
 
 REQUIRED = ("service.handle", "service.dispatch", "engine.sweep", "service.serialise")
@@ -166,6 +167,7 @@ class Phase:
     late_s: list = field(default_factory=list)
     outstanding: list = field(default_factory=list)
     responses: list = field(default_factory=list)
+    start_s: float = 0.0
     elapsed_s: float = 0.0
 
     @property
@@ -260,9 +262,9 @@ class _Driver:
 
     async def closed_loop(self, requests: list, duration_s: float) -> Phase:
         """One client per tenant, each sending its next request on a reply."""
-        phase = Phase()
         pending = iter(requests)
         start = time.perf_counter()
+        phase = Phase(start_s=start)
         stop = start + duration_s
 
         async def client() -> None:
@@ -363,7 +365,11 @@ def run(inputs: Inputs, budget_s: float, tracer: Tracer | NullTracer) -> Measure
     fixed = base.responses + peak.responses
     out.checksum = digest(*sorted(f"{key}:{payload}" for ok, _, key, payload in fixed if ok))
     out.work_s = cpu
-    out.throughput = sum(ok for ok, _, _, _ in capacity.responses) / capacity.elapsed_s
+    capacity_served = sum(ok for ok, _, _, _ in capacity.responses)
+    out.throughput = capacity_served / CLOCK.reference_s(
+        capacity.start_s, capacity.start_s + capacity.elapsed_s
+    )
+    out.raw_throughput = capacity_served / capacity.elapsed_s
     max_rps = LADDER[top] if top >= 0 else 0.0
     out.named.update(
         {
@@ -402,9 +408,10 @@ def _trace_layers(out: Measurement, driver: _Driver) -> None:
     tracer = driver.tracer
     by_method: dict[str, list[float]] = {method: [] for method in METHODS}
     queue_ms = []
-    for name, start, end, _, req in tracer.spans:
+    for span in tracer.spans:
+        name, start, _, _, req = span
         if name == "service.dispatch":
-            by_method[driver.method[req]].append(1e3 * (end - start))
+            by_method[driver.method[req]].append(1e3 * tracer.length(span))
             if req < driver.open_loop_reqs:
                 queue_ms.append(1e3 * (start - driver.due[req]))
     metas = driver.metas

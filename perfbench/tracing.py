@@ -13,6 +13,10 @@ the stack, and tied together by a request id instead.
 A boundary that cannot be found raises :class:`BoundaryMissing`, and the
 traced run fails a boundary whose :meth:`Tracer.calls` is zero, so a
 refactor that moves one fails loudly instead of reporting 0.
+
+Spans are recorded and written in wall time; :meth:`Tracer.length` and
+the sums built on it read them in the reference seconds of ``speed.py``'s
+clock, so layer times survive a slow spell on the host as rates do.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator
+
+from speed import CLOCK
 
 __all__ = ["BoundaryMissing", "NullTracer", "Tracer"]
 
@@ -159,7 +165,7 @@ class Tracer:
             ancestors = self._ancestor_names(span)
             if name in ancestors or (under is not None and under not in ancestors):
                 continue
-            total += span[_END] - span[_START]
+            total += self.length(span)
         return total
 
     def self_time(self, name: str) -> float:
@@ -168,12 +174,16 @@ class Tracer:
         for span in self.spans:
             parent = span[_PARENT]
             if parent is not None:
-                children[parent] = children.get(parent, 0.0) + span[_END] - span[_START]
+                children[parent] = children.get(parent, 0.0) + self.length(span)
         return sum(
-            span[_END] - span[_START] - children.get(index, 0.0)
+            self.length(span) - children.get(index, 0.0)
             for index, span in enumerate(self.spans)
             if span[_NAME] == name
         )
+
+    def length(self, span: list[Any]) -> float:
+        """A span's duration in reference seconds."""
+        return CLOCK.reference_s(span[_START], span[_END])
 
     def _ancestor_names(self, span: list[Any]) -> set[str]:
         names = set()
