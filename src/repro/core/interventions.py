@@ -148,6 +148,10 @@ class ScheduledEnvironment:
     schedule: InterventionSchedule
     _cache: dict = field(default_factory=dict, repr=False)
 
+    def state_index(self, time_s: float) -> int:
+        """Index of the intervention state in force at ``time_s``."""
+        return self.schedule.state_index_at(time_s)
+
     def resolve(self, job: Job, time_s: float) -> ResolvedExecution:
         idx = self.schedule.state_index_at(time_s)
         key = (idx, job.app.name, job.frequency_override)

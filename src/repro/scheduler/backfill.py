@@ -17,9 +17,12 @@ provided here for direct use.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Hashable
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from itertools import islice
+from typing import Protocol
 
 import numpy as np
 
@@ -91,6 +94,20 @@ def validate_jobs(
             )
 
 
+def replace_window(waiting: deque, window: list, kept: list) -> None:
+    """Put back the queue head and the unstarted part of a backfill window.
+
+    ``window`` is the scan that followed the head; ``kept`` is the head plus
+    the candidates that did not start, in queue order. Only that prefix is
+    rebuilt, so a pass costs the backfill depth rather than the queue length.
+    """
+    if len(kept) == 1 + len(window):
+        return  # nothing started
+    for _ in range(1 + len(window)):
+        waiting.popleft()
+    waiting.extendleft(reversed(kept))
+
+
 @dataclass(frozen=True)
 class ResolvedExecution:
     """How a job will execute, decided at its start time."""
@@ -102,10 +119,21 @@ class ResolvedExecution:
 
 
 class ExecutionEnvironment(Protocol):
-    """Resolves operating conditions for a job starting at a given time."""
+    """Resolves operating conditions for a job starting at a given time.
+
+    ``state_index`` names the environment state in force at a time. Its
+    contract: ``resolve(job, t)`` depends on ``t`` only through
+    ``state_index(t)``, so two times with equal tokens resolve every job
+    identically. The scheduler relies on it to probe a waiting backfill
+    candidate's runtime once per state instead of once per pass.
+    """
 
     def resolve(self, job: Job, time_s: float) -> ResolvedExecution:  # pragma: no cover
         """Return the execution parameters for ``job`` starting at ``time_s``."""
+        ...
+
+    def state_index(self, time_s: float) -> Hashable:  # pragma: no cover
+        """Hashable token of the state in force at ``time_s``."""
         ...
 
 
@@ -128,6 +156,10 @@ class StaticEnvironment:
     def cpu(self) -> CpuModel:
         """The CPU model execution resolves against."""
         return self.node_model.cpu
+
+    def state_index(self, time_s: float) -> int:
+        """Always ``0``: one state for the whole run."""
+        return 0
 
     def resolve(self, job: Job, time_s: float) -> ResolvedExecution:
         key = (job.app.name, job.frequency_override)
@@ -152,13 +184,18 @@ class StaticEnvironment:
 
 @dataclass
 class _Running:
-    """Book-keeping for an in-flight job."""
+    """Book-keeping for an in-flight job.
+
+    ``seq`` counts starts over the run; it breaks end-time ties in start
+    order, restarts included.
+    """
 
     job: Job
     start_s: float
     end_s: float
     resolved: ResolvedExecution
-    attempt: int = 0
+    attempt: int
+    seq: int
 
 
 class BackfillScheduler:
@@ -219,6 +256,13 @@ class BackfillScheduler:
         queue = EventQueue()
         waiting: deque[Job] = deque()
         running: dict[int, _Running] = {}
+        # Running jobs ordered by (end time, start sequence): the order the
+        # EASY reservation walks, kept incrementally instead of re-sorted.
+        by_end: list[tuple[float, int, _Running]] = []
+        # Backfill runtime probes, job id -> (state token, runtime). Entries
+        # leave when their job starts, so only the backfill window is held.
+        probes: dict[int, tuple[Hashable, float]] = {}
+        n_starts = 0
         records: list[JobRecord] = []
         trace = TraceBuilder(t_start_s)
         jobs_by_id = {job.job_id: job for job in jobs}
@@ -271,12 +315,16 @@ class BackfillScheduler:
                 queue.push(Event(t, EventKind.NODE_FAIL, fault_gen))
 
         def start_job(job: Job, now: float) -> None:
-            nonlocal busy_power_w
+            nonlocal busy_power_w, n_starts
             resolved = environment.resolve(job, now)
+            probes.pop(job.job_id, None)
             pool.allocate(job.n_nodes)
             end_s = now + resolved.runtime_s
             attempt = attempts.get(job.job_id, 0)
-            running[job.job_id] = _Running(job, now, end_s, resolved, attempt)
+            run = _Running(job, now, end_s, resolved, attempt, n_starts)
+            n_starts += 1
+            running[job.job_id] = run
+            insort(by_end, (end_s, run.seq, run))
             busy_power_w += resolved.node_power_w * job.n_nodes
             record_trace(now)
             if end_s <= t_end_s:
@@ -286,54 +334,62 @@ class BackfillScheduler:
             # FCFS phase: start queue heads while they fit.
             while waiting and pool.fits(waiting[0].n_nodes):
                 start_job(waiting.popleft(), now)
-            if not waiting:
+            free = pool.free
+            if not waiting or free == 0:
                 return
             # EASY backfill phase: reserve for the head, fill around it.
             head = waiting[0]
             try:
-                shadow_s, spare = self._reservation(head, pool, running, now)
+                shadow_s, spare = self._reservation(head, pool, by_end, now)
             except SchedulingError:
                 if faults is None:
                     raise
                 # Drained capacity can temporarily block a head that passed
                 # admission; let backfill run freely until a repair lands.
                 shadow_s, spare = float("inf"), 0
-            depth = 0
-            idx = 1
-            items = list(waiting)
-            started: set[int] = set()
-            for cand in items[1:]:
-                if depth >= self.backfill_depth:
-                    break
-                depth += 1
-                idx += 1
-                if not pool.fits(cand.n_nodes):
+            window = list(islice(waiting, 1, 1 + self.backfill_depth))
+            kept = [head]
+            token = environment.state_index(now)
+            for cand in window:
+                if cand.n_nodes > free:  # admission made every n_nodes positive
+                    kept.append(cand)
                     continue
-                runtime = environment.resolve(cand, now).runtime_s
+                probe = probes.get(cand.job_id)
+                if probe is not None and probe[0] == token:
+                    runtime = probe[1]
+                else:
+                    runtime = environment.resolve(cand, now).runtime_s
+                    probes[cand.job_id] = (token, runtime)
                 ends_before_shadow = now + runtime <= shadow_s
                 within_spare = cand.n_nodes <= spare
                 if ends_before_shadow or within_spare:
                     start_job(cand, now)
+                    free -= cand.n_nodes
                     if within_spare and not ends_before_shadow:
                         spare -= cand.n_nodes
-                    started.add(cand.job_id)
-            if started:
-                remaining = [j for j in waiting if j.job_id not in started]
-                waiting.clear()
-                waiting.extend(remaining)
+                else:
+                    kept.append(cand)
+            replace_window(waiting, window, kept)
 
-        def end_job(payload: Any, now: float) -> None:
-            nonlocal busy_power_w, n_completed
-            job_id, attempt = payload if isinstance(payload, tuple) else (payload, 0)
-            run = running.get(job_id)
-            if run is None or run.attempt != attempt:
-                return  # stale end event from an attempt killed by a failure
-            del running[job_id]
-            pool.release(run.job.n_nodes)
-            busy_power_w -= run.resolved.node_power_w * run.job.n_nodes
+        def stop_running(run: _Running, now: float) -> None:
+            """Take ``run`` off the machine and out of the end-time order."""
+            nonlocal busy_power_w
+            job = run.job
+            del running[job.job_id]
+            del by_end[bisect_left(by_end, (run.end_s, run.seq))]
+            pool.release(job.n_nodes)
+            busy_power_w -= run.resolved.node_power_w * job.n_nodes
             if abs(busy_power_w) < 1e-6:
                 busy_power_w = 0.0
             record_trace(now)
+
+        def end_job(payload: tuple[int, int], now: float) -> None:
+            nonlocal n_completed
+            job_id, attempt = payload
+            run = running.get(job_id)
+            if run is None or run.attempt != attempt:
+                return  # stale end event from an attempt killed by a failure
+            stop_running(run, now)
             records.append(
                 JobRecord(
                     job=run.job,
@@ -348,16 +404,11 @@ class BackfillScheduler:
 
         def kill_victim(run: _Running, now: float) -> None:
             """A node failure hit this job: charge the burn, requeue or drop."""
-            nonlocal busy_power_w, n_job_kills, n_retries, n_failed_terminal
+            nonlocal n_job_kills, n_retries, n_failed_terminal
             nonlocal wasted_node_seconds, wasted_energy_j
             assert faults is not None and fault_rng is not None
             job = run.job
-            del running[job.job_id]
-            pool.release(job.n_nodes)
-            busy_power_w -= run.resolved.node_power_w * job.n_nodes
-            if abs(busy_power_w) < 1e-6:
-                busy_power_w = 0.0
-            record_trace(now)
+            stop_running(run, now)
             if now > run.start_s:
                 records.append(
                     JobRecord(
@@ -479,7 +530,7 @@ class BackfillScheduler:
     def _reservation(
         head: Job,
         pool: NodePool,
-        running: dict[int, _Running],
+        by_end: list[tuple[float, int, _Running]],
         now: float,
     ) -> tuple[float, int]:
         """EASY reservation for the queue head.
@@ -487,16 +538,14 @@ class BackfillScheduler:
         Returns ``(shadow_time, spare_nodes)``: the earliest time enough
         nodes will be free for the head, and how many nodes beyond the
         head's need will be free then (backfill jobs using only spare nodes
-        cannot delay the head even if they run long).
+        cannot delay the head even if they run long). ``by_end`` holds the
+        running jobs in (end time, start sequence) order.
         """
         if pool.fits(head.n_nodes):
             return now, pool.free - head.n_nodes
         available = pool.free
-        for run in sorted(running.values(), key=lambda r: r.end_s):
+        for end_s, _, run in by_end:
             available += run.job.n_nodes
             if available >= head.n_nodes:
-                return run.end_s, available - head.n_nodes
-        raise SchedulingError(
-            f"job {head.job.job_id if isinstance(head, _Running) else head.job_id} "
-            "can never be scheduled"
-        )
+                return end_s, available - head.n_nodes
+        raise SchedulingError(f"job {head.job_id} can never be scheduled")

@@ -15,6 +15,7 @@ scale — the realistic physical limit of this mechanism, which
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,10 @@ class DemandResponseEnvironment:
         """Whether ``time_s`` falls inside any stress window."""
         idx = int(np.searchsorted(self._sorted_starts, time_s, side="right")) - 1
         return idx >= 0 and time_s < float(self._sorted_ends[idx])
+
+    def state_index(self, time_s: float) -> tuple[Hashable, bool]:
+        """The inner environment's token paired with the stress-event state."""
+        return self.inner.state_index(time_s), self.in_event(time_s)
 
     def resolve(self, job: Job, time_s: float) -> ResolvedExecution:
         base = self.inner.resolve(job, time_s)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -54,7 +55,13 @@ from .accounting import (
     TraceBuilder,
     trace_emissions_tco2e,
 )
-from .backfill import BackfillScheduler, ResolvedExecution, StaticEnvironment, validate_jobs
+from .backfill import (
+    BackfillScheduler,
+    ResolvedExecution,
+    StaticEnvironment,
+    replace_window,
+    validate_jobs,
+)
 from .engine import Event, EventKind, EventQueue
 from .partition import NodePool
 from .shapes import JobShape
@@ -99,6 +106,10 @@ class CarbonAwareEnvironment:
             self.high_g_per_kwh,
         )
         return self.inner.resolve(replace(job, frequency_override=setting), time_s)
+
+    def state_index(self, time_s: float) -> int:
+        """The inner environment's token: plain resolution is carbon-blind."""
+        return self.inner.state_index(time_s)
 
     def resolve(self, job: Job, time_s: float) -> ResolvedExecution:
         """Plain (carbon-blind) resolution — the rigid comparison path."""
@@ -741,18 +752,15 @@ class MalleableSimulation:
         head_shape = self._shapes[self._waiting[0]]
         head_need = self._choose_alloc(head_shape, ci, degraded)
         shadow_s, spare = self._reservation(head_need, now_s)
-        started: set[int] = set()
-        depth = 0
-        items = list(self._waiting)
-        for job_id in items[1:]:
-            if depth >= self.scheduler.backfill_depth:
-                break
-            depth += 1
+        window = list(islice(self._waiting, 1, 1 + self.scheduler.backfill_depth))
+        kept = [self._waiting[0]]
+        for job_id in window:
             shape = self._shapes[job_id]
             alloc = self._choose_alloc(shape, ci, degraded)
             if not self._pool.fits(alloc):
                 alloc = min(alloc, self._pool.free)
                 if alloc < shape.min_nodes:
+                    kept.append(job_id)
                     continue
             job = self._jobs[job_id]
             if degraded:
@@ -766,11 +774,9 @@ class MalleableSimulation:
                 self._start_job(job, alloc, now_s, ci, degraded)
                 if within_spare and not ends_before_shadow:
                     spare -= alloc
-                started.add(job_id)
-        if started:
-            remaining = [j for j in items if j not in started]
-            self._waiting.clear()
-            self._waiting.extend(remaining)
+            else:
+                kept.append(job_id)
+        replace_window(self._waiting, window, kept)
 
     def _finalize(self) -> None:
         for run in sorted(self._running.values(), key=lambda r: r.job_id):
