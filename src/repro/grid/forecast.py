@@ -15,6 +15,7 @@ planning modules need.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,30 +150,30 @@ class ForecastIndex:
                 "forecast series contains NaN samples; fill gaps before indexing"
             )
         self.series = series
-        self._times = series.times_s
-        self._values = series.values
-        # _prefix[i] = ∫ ci dt over [times[0], times[i]]
-        segment = self._values[:-1] * np.diff(self._times)
-        self._prefix = np.concatenate(([0.0], np.cumsum(segment)))
+        # _prefix[i] = ∫ ci dt over [times[0], times[i]], summed in NumPy;
+        # the lookups then bisect plain lists of the same float64 values,
+        # which skips NumPy's per-call dispatch on scalar queries.
+        segment = series.values[:-1] * np.diff(series.times_s)
+        self._prefix: list[float] = np.concatenate(([0.0], np.cumsum(segment))).tolist()
+        self._times: list[float] = series.times_s.tolist()
+        self._values: list[float] = series.values.tolist()
 
     def ci_at(self, t_s: float) -> float:
         """Carbon intensity at ``t_s``, gCO₂/kWh (previous-value hold)."""
-        idx = int(np.searchsorted(self._times, t_s, side="right")) - 1
+        idx = bisect_right(self._times, t_s) - 1
         idx = min(max(idx, 0), len(self._times) - 1)
-        return float(self._values[idx])
+        return self._values[idx]
 
     def _integral_to(self, t_s: float) -> float:
         """∫ ci dt from the first breakpoint to ``t_s`` (flat extension)."""
-        t_first = float(self._times[0])
+        t_first = self._times[0]
         if t_s <= t_first:
-            return float(self._values[0]) * (t_s - t_first)
-        t_last = float(self._times[-1])
+            return self._values[0] * (t_s - t_first)
+        t_last = self._times[-1]
         if t_s >= t_last:
-            return float(self._prefix[-1]) + float(self._values[-1]) * (t_s - t_last)
-        idx = int(np.searchsorted(self._times, t_s, side="right")) - 1
-        return float(self._prefix[idx]) + float(self._values[idx]) * (
-            t_s - float(self._times[idx])
-        )
+            return self._prefix[-1] + self._values[-1] * (t_s - t_last)
+        idx = bisect_right(self._times, t_s) - 1
+        return self._prefix[idx] + self._values[idx] * (t_s - self._times[idx])
 
     def window_mean(self, t0_s: float, t1_s: float) -> float:
         """Exact mean carbon intensity over ``[t0_s, t1_s]``, gCO₂/kWh."""
@@ -199,14 +200,13 @@ class ForecastIndex:
         # or inside its duration-shifted image (window end crossings) can
         # host a minimum — slice them out so a submission costs O(window),
         # not O(whole forecast), at million-job scale.
-        lo = int(np.searchsorted(self._times, t_earliest_s, side="right"))
-        hi = int(np.searchsorted(self._times, t_latest_s, side="left"))
-        for t in self._times[lo:hi]:
-            candidates.add(float(t))
-        lo = int(np.searchsorted(self._times, t_earliest_s + duration_s, side="right"))
-        hi = int(np.searchsorted(self._times, t_latest_s + duration_s, side="left"))
-        for t in self._times[lo:hi]:
-            candidates.add(float(t) - duration_s)
+        times = self._times
+        lo = bisect_right(times, t_earliest_s)
+        hi = bisect_left(times, t_latest_s)
+        candidates.update(times[lo:hi])
+        lo = bisect_right(times, t_earliest_s + duration_s)
+        hi = bisect_left(times, t_latest_s + duration_s)
+        candidates.update(t - duration_s for t in times[lo:hi])
         best_start_s = t_earliest_s
         best_mean = float("inf")
         for start_s in sorted(candidates):

@@ -36,7 +36,9 @@ substrate does not import the core layer, which imports it back).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Hashable
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -349,6 +351,18 @@ class MalleableSimulation:
         self._queue = EventQueue()
         self._waiting: deque[int] = deque()
         self._running: dict[int, _ElasticRun] = {}
+        # Running jobs ordered by (predicted end, job id), the reservation's
+        # walk order, kept with insort; _end_key holds each job's entry key.
+        # A running job's estimate changes only when _reallocate reshapes
+        # it, and that reinserts the entry, so every key equals a fresh
+        # _end_estimate_s of its run.
+        self._by_end: list[tuple[float, int]] = []
+        self._end_key: dict[int, float] = {}
+        # Backfill runtime probes, job id -> (token, unstretched runtime).
+        # The token is (environment state, planning CI or None when
+        # degraded): the resolved runtime depends on nothing else. A pure
+        # cache, popped when a job starts and never checkpointed.
+        self._probes: dict[int, tuple[Hashable, float]] = {}
         self._records: list[ElasticRecord] = []
         self._trace = TraceBuilder(t_start_s)
         self._rng = np.random.default_rng(scheduler.seed)
@@ -419,6 +433,25 @@ class MalleableSimulation:
         remaining = max(0.0, 1.0 - run.progress)
         return run.last_update_s + remaining / rate
 
+    def _insert_end(self, run: _ElasticRun) -> None:
+        end_s = self._end_estimate_s(run)
+        self._end_key[run.job_id] = end_s
+        insort(self._by_end, (end_s, run.job_id))
+
+    def _remove_end(self, job_id: int) -> None:
+        entry = (self._end_key.pop(job_id), job_id)
+        del self._by_end[bisect_left(self._by_end, entry)]
+
+    def _release(self, run: _ElasticRun, now_s: float) -> None:
+        """Take a stopped run off the machine: nodes, power and end entry."""
+        self._remove_end(run.job_id)
+        del self._running[run.job_id]
+        self._pool.release(run.alloc)
+        self._busy_power_w -= run.node_power_w * run.alloc
+        if abs(self._busy_power_w) < 1e-6:
+            self._busy_power_w = 0.0
+        self._record_trace(now_s)
+
     # -- fault injection -----------------------------------------------------
 
     def _integrate_drain(self, now_s: float) -> None:
@@ -469,12 +502,7 @@ class MalleableSimulation:
         # shows up as *less* re-execution, not as reclaimed burn.
         self._wasted_node_seconds += run.node_seconds
         self._wasted_energy_j += run.node_power_w * run.node_seconds
-        del self._running[run.job_id]
-        self._pool.release(run.alloc)
-        self._busy_power_w -= run.node_power_w * run.alloc
-        if abs(self._busy_power_w) < 1e-6:
-            self._busy_power_w = 0.0
-        self._record_trace(now_s)
+        self._release(run, now_s)
         # End events of this attempt (generations <= current) must never
         # finish a requeued attempt, so the next attempt starts above them.
         self._next_gen[run.job_id] = run.generation + 1
@@ -559,6 +587,15 @@ class MalleableSimulation:
             target = shape.preferred_nodes
         return max(shape.min_nodes, min(target, self._pool.up_nodes))
 
+    def _resolve(
+        self, job: Job, now_s: float, ci_g_per_kwh: float, degraded: bool
+    ) -> ResolvedExecution:
+        environment = self.scheduler.environment
+        if degraded:
+            # Feed too stale to trust: static frequency policy (carbon-blind).
+            return environment.resolve(job, now_s)
+        return environment.resolve_at_ci(job, now_s, ci_g_per_kwh)
+
     def _start_job(
         self,
         job: Job,
@@ -567,15 +604,11 @@ class MalleableSimulation:
         ci_g_per_kwh: float,
         degraded: bool = False,
     ) -> None:
+        resolved = self._resolve(job, now_s, ci_g_per_kwh, degraded)
         if degraded:
-            # Feed too stale to trust: static frequency policy (carbon-blind).
-            resolved = self.scheduler.environment.resolve(job, now_s)
             self._n_degraded_starts += 1
-        else:
-            resolved = self.scheduler.environment.resolve_at_ci(
-                job, now_s, ci_g_per_kwh
-            )
         shape = self._shapes[job.job_id]
+        self._probes.pop(job.job_id, None)
         self._pool.allocate(alloc)
         self._busy_power_w += resolved.node_power_w * alloc
         progress0 = self._retained.pop(job.job_id, 0.0)
@@ -595,6 +628,7 @@ class MalleableSimulation:
             priority=float(self._rng.random()),
         )
         self._running[job.job_id] = run
+        self._insert_end(run)
         self._record_trace(now_s)
         end_s = now_s + resolved.runtime_s * shape.stretch(alloc) * (1.0 - progress0)
         if end_s <= self.t_end_s:
@@ -603,6 +637,7 @@ class MalleableSimulation:
             )
 
     def _reallocate(self, run: _ElasticRun, new_alloc: int, now_s: float) -> None:
+        self._remove_end(run.job_id)
         self._advance(run, now_s)
         delta = new_alloc - run.alloc
         if delta > 0:
@@ -616,8 +651,9 @@ class MalleableSimulation:
             self._busy_power_w = 0.0
         run.alloc = new_alloc
         run.generation += 1
+        self._insert_end(run)
         self._record_trace(now_s)
-        end_s = self._end_estimate_s(run)
+        end_s = self._end_key[run.job_id]
         if end_s <= self.t_end_s:
             self._queue.push(
                 Event(end_s, EventKind.JOB_END, (run.job_id, run.generation))
@@ -663,12 +699,7 @@ class MalleableSimulation:
         if run is None or run.generation != generation:
             return  # stale end event from before a reallocation
         self._finish_run(run, now_s, truncated=False)
-        del self._running[job_id]
-        self._pool.release(run.alloc)
-        self._busy_power_w -= run.node_power_w * run.alloc
-        if abs(self._busy_power_w) < 1e-6:
-            self._busy_power_w = 0.0
-        self._record_trace(now_s)
+        self._release(run, now_s)
         self._n_completed += 1
 
     def _reshape_order(self) -> list[_ElasticRun]:
@@ -715,14 +746,10 @@ class MalleableSimulation:
         if self._pool.fits(need):
             return now_s, self._pool.free - need
         available = self._pool.free
-        runs = sorted(
-            self._running.values(),
-            key=lambda r: (self._end_estimate_s(r), r.job_id),
-        )
-        for run in runs:
-            available += run.alloc
+        for end_s, job_id in self._by_end:
+            available += self._running[job_id].alloc
             if available >= need:
-                return self._end_estimate_s(run), available - need
+                return end_s, available - need
         if self.scheduler.fault_config is not None:
             # Drained capacity can temporarily block a head that passed
             # admission; let backfill run freely until a repair lands.
@@ -746,7 +773,9 @@ class MalleableSimulation:
                     break
             job = self._jobs[self._waiting.popleft()]
             self._start_job(job, alloc, now_s, ci, degraded)
-        if not self._waiting:
+        # With no node free every candidate's allocation clamps to zero,
+        # below its minimum shape, so the backfill phase could start nothing.
+        if not self._waiting or self._pool.free == 0:
             return
         # EASY backfill phase: reserve for the head, fill around it.
         head_shape = self._shapes[self._waiting[0]]
@@ -754,6 +783,10 @@ class MalleableSimulation:
         shadow_s, spare = self._reservation(head_need, now_s)
         window = list(islice(self._waiting, 1, 1 + self.scheduler.backfill_depth))
         kept = [self._waiting[0]]
+        token = (
+            self.scheduler.environment.state_index(now_s),
+            None if degraded else ci,
+        )
         for job_id in window:
             shape = self._shapes[job_id]
             alloc = self._choose_alloc(shape, ci, degraded)
@@ -763,11 +796,13 @@ class MalleableSimulation:
                     kept.append(job_id)
                     continue
             job = self._jobs[job_id]
-            if degraded:
-                resolved = self.scheduler.environment.resolve(job, now_s)
+            probe = self._probes.get(job_id)
+            if probe is not None and probe[0] == token:
+                runtime_s = probe[1]
             else:
-                resolved = self.scheduler.environment.resolve_at_ci(job, now_s, ci)
-            runtime_s = resolved.runtime_s * shape.stretch(alloc)
+                runtime_s = self._resolve(job, now_s, ci, degraded).runtime_s
+                self._probes[job_id] = (token, runtime_s)
+            runtime_s *= shape.stretch(alloc)
             ends_before_shadow = now_s + runtime_s <= shadow_s
             within_spare = alloc <= spare
             if ends_before_shadow or within_spare:
@@ -911,6 +946,11 @@ class MalleableSimulation:
             run.job_id: run
             for run in (_run_from_list(raw) for raw in state["running"])
         }
+        self._end_key = {
+            job_id: self._end_estimate_s(run) for job_id, run in self._running.items()
+        }
+        self._by_end = sorted((end_s, job_id) for job_id, end_s in self._end_key.items())
+        self._probes = {}
         self._records = [_record_from_list(raw) for raw in state["records"]]
         self._rng.bit_generator.state = state["rng"]
         self._busy_power_w = float(state["busy_power_w"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AnalysisError, UnitError
 from repro.grid.carbon_intensity import CarbonIntensityModel
@@ -9,6 +11,7 @@ from repro.grid.forecast import (
     FeedOutage,
     ForecastFeed,
     ForecastIndex,
+    ForecastWindow,
     diurnal_template_forecast,
     evaluate_forecast,
     persistence_forecast,
@@ -212,6 +215,133 @@ class TestForecastIndex:
     def test_degenerate_window_rejected(self, step_series):
         with pytest.raises(AnalysisError):
             ForecastIndex(step_series).window_mean(100.0, 100.0)
+
+
+class SearchsortedIndex:
+    """The array-based ForecastIndex lookups, kept as an oracle: the list
+    and ``bisect`` implementation must return bit-identical floats."""
+
+    def __init__(self, series: TimeSeries) -> None:
+        self._times = series.times_s
+        self._values = series.values
+        segment = self._values[:-1] * np.diff(self._times)
+        self._prefix = np.concatenate(([0.0], np.cumsum(segment)))
+
+    def ci_at(self, t_s):
+        idx = int(np.searchsorted(self._times, t_s, side="right")) - 1
+        idx = min(max(idx, 0), len(self._times) - 1)
+        return float(self._values[idx])
+
+    def _integral_to(self, t_s):
+        t_first = float(self._times[0])
+        if t_s <= t_first:
+            return float(self._values[0]) * (t_s - t_first)
+        t_last = float(self._times[-1])
+        if t_s >= t_last:
+            return float(self._prefix[-1]) + float(self._values[-1]) * (t_s - t_last)
+        idx = int(np.searchsorted(self._times, t_s, side="right")) - 1
+        return float(self._prefix[idx]) + float(self._values[idx]) * (
+            t_s - float(self._times[idx])
+        )
+
+    def window_mean(self, t0_s, t1_s):
+        return (self._integral_to(t1_s) - self._integral_to(t0_s)) / (t1_s - t0_s)
+
+    def greenest_window(self, duration_s, t_earliest_s, t_latest_s):
+        candidates = {t_earliest_s, t_latest_s}
+        lo = int(np.searchsorted(self._times, t_earliest_s, side="right"))
+        hi = int(np.searchsorted(self._times, t_latest_s, side="left"))
+        for t in self._times[lo:hi]:
+            candidates.add(float(t))
+        lo = int(np.searchsorted(self._times, t_earliest_s + duration_s, side="right"))
+        hi = int(np.searchsorted(self._times, t_latest_s + duration_s, side="left"))
+        for t in self._times[lo:hi]:
+            candidates.add(float(t) - duration_s)
+        best_start_s = t_earliest_s
+        best_mean = float("inf")
+        for start_s in sorted(candidates):
+            mean = self.window_mean(start_s, start_s + duration_s)
+            if mean < best_mean:
+                best_mean = mean
+                best_start_s = start_s
+        return ForecastWindow(best_start_s, best_start_s + duration_s, best_mean)
+
+
+@st.composite
+def step_series_and_times(draw):
+    """A step series plus query times: on breakpoints, next to them, before
+    the first, after the last and anywhere in between."""
+    t0 = draw(st.floats(-1e6, 1e6, allow_nan=False))
+    gaps = draw(st.lists(st.floats(0.5, 1e5, allow_nan=False), min_size=0, max_size=30))
+    times = np.asarray(t0 + np.concatenate(([0.0], np.cumsum(gaps))), dtype=float)
+    times = np.unique(times)
+    values = draw(
+        st.lists(
+            st.floats(0.0, 1000.0, allow_nan=False),
+            min_size=len(times),
+            max_size=len(times),
+        )
+    )
+    series = TimeSeries(times, np.asarray(values, dtype=float), "ci")
+    points = times.tolist()
+    span = (points[0] - 2e5, points[-1] + 2e5)
+    query = st.one_of(
+        st.sampled_from(points),
+        st.sampled_from(points).map(lambda t: float(np.nextafter(t, -np.inf))),
+        st.sampled_from(points).map(lambda t: float(np.nextafter(t, np.inf))),
+        st.floats(*span, allow_nan=False),
+    )
+    return series, draw(st.lists(query, min_size=2, max_size=8))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+class TestForecastIndexOracle:
+    @given(step_series_and_times())
+    @settings(max_examples=200, deadline=None)
+    def test_ci_at_matches_searchsorted(self, case):
+        series, queries = case
+        index, oracle = ForecastIndex(series), SearchsortedIndex(series)
+        for t in queries:
+            assert same_bits(index.ci_at(t), oracle.ci_at(t))
+
+    @given(step_series_and_times())
+    @settings(max_examples=200, deadline=None)
+    def test_window_mean_matches_searchsorted(self, case):
+        series, queries = case
+        index, oracle = ForecastIndex(series), SearchsortedIndex(series)
+        for t0, t1 in zip(queries, queries[1:]):
+            if t1 < t0:
+                t0, t1 = t1, t0
+            if t1 > t0:
+                assert same_bits(index.window_mean(t0, t1), oracle.window_mean(t0, t1))
+
+    @given(
+        step_series_and_times(),
+        st.one_of(st.floats(1.0, 3e5, allow_nan=False), st.sampled_from([1800.0, 3600.0])),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_greenest_window_matches_searchsorted(self, case, duration_s):
+        series, queries = case
+        index, oracle = ForecastIndex(series), SearchsortedIndex(series)
+        for t0, t1 in zip(queries, queries[1:]):
+            earliest, latest = min(t0, t1), max(t0, t1)
+            got = index.greenest_window(duration_s, earliest, latest)
+            want = oracle.greenest_window(duration_s, earliest, latest)
+            assert same_bits(got.t_start_s, want.t_start_s)
+            assert same_bits(got.t_end_s, want.t_end_s)
+            assert same_bits(got.mean_ci_g_per_kwh, want.mean_ci_g_per_kwh)
+
+    def test_duration_shifted_breakpoints_are_candidates(self):
+        """A query whose window end lands exactly on a breakpoint."""
+        series = TimeSeries(
+            np.array([0.0, 3600.0, 7200.0]), np.array([100.0, 40.0, 200.0]), "ci"
+        )
+        index, oracle = ForecastIndex(series), SearchsortedIndex(series)
+        for args in ((3600.0, 0.0, 3600.0), (1800.0, 1800.0, 5400.0), (3600.0, 3600.0, 3600.0)):
+            assert index.greenest_window(*args) == oracle.greenest_window(*args)
 
 
 @pytest.fixture
