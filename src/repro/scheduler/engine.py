@@ -2,9 +2,9 @@
 
 A tiny, dependency-free event engine: a binary-heap event queue with stable
 FIFO ordering for simultaneous events, and a monotonic clock guard. The
-batch scheduler (:mod:`repro.scheduler.backfill`) drives all simulation from
-this queue; keeping it generic also lets tests exercise the DES invariants in
-isolation.
+scheduler kernel (:mod:`repro.scheduler.malleable`) drives all simulation
+from this queue; keeping it generic also lets tests exercise the DES
+invariants in isolation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..errors import SchedulingError
 
@@ -32,9 +32,14 @@ class EventKind(enum.Enum):
     MARKER = "marker"
 
 
-@dataclass(frozen=True, order=False)
-class Event:
-    """One scheduled occurrence. Payload interpretation depends on ``kind``."""
+class Event(NamedTuple):
+    """One scheduled occurrence. Payload interpretation depends on ``kind``.
+
+    A named tuple rather than a frozen dataclass: a simulation makes one
+    per job start, end and submission, and a tuple costs a fifth as much
+    to build. The queue never compares two events (the push counter
+    breaks time ties first).
+    """
 
     time_s: float
     kind: EventKind

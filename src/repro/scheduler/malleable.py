@@ -41,15 +41,18 @@ from collections import deque
 from collections.abc import Hashable
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import SchedulingError
 from ..facility.failures import FaultConfig
 from ..grid.forecast import ForecastFeed, ForecastIndex
+from ..node.pstates import FrequencySetting
 from ..telemetry.series import TimeSeries
 from ..units import JOULES_PER_KWH
-from ..workload.jobs import Job
+from ..workload.jobs import Job, JobRecord
 from .accounting import (
     FaultAccounting,
     PowerTrace,
@@ -59,9 +62,9 @@ from .accounting import (
 )
 from .backfill import (
     BackfillScheduler,
+    ExecutionEnvironment,
     ResolvedExecution,
     StaticEnvironment,
-    replace_window,
     validate_jobs,
 )
 from .engine import Event, EventKind, EventQueue
@@ -80,6 +83,9 @@ __all__ = [
 
 PAPER_LOW_CI_G_PER_KWH = 30.0
 PAPER_HIGH_CI_G_PER_KWH = 100.0
+
+#: Frequency settings by value, the form run state and records keep them in.
+_SETTINGS = {setting.value: setting for setting in FrequencySetting}
 
 
 @dataclass
@@ -114,7 +120,7 @@ class CarbonAwareEnvironment:
         return self.inner.state_index(time_s)
 
     def resolve(self, job: Job, time_s: float) -> ResolvedExecution:
-        """Plain (carbon-blind) resolution — the rigid comparison path."""
+        """Plain (carbon-blind) resolution, used while the feed is degraded."""
         return self.inner.resolve(job, time_s)
 
 
@@ -124,7 +130,8 @@ class ElasticRecord:
 
     Unlike :class:`~repro.workload.jobs.JobRecord`, the allocation varies
     over the job's life, so integrated ``node_seconds`` is recorded
-    directly rather than derived from a fixed width.
+    directly rather than derived from a fixed width. ``node_power_w`` is
+    the per-node busy power resolved at the attempt's start.
     """
 
     job_id: int
@@ -134,9 +141,14 @@ class ElasticRecord:
     setting: str
     effective_ghz: float
     node_seconds: float
-    energy_j: float
+    node_power_w: float
     truncated: bool
     interrupted: bool = False
+
+    @property
+    def energy_j(self) -> float:
+        """Busy energy of the attempt, joules."""
+        return self.node_power_w * self.node_seconds
 
     @property
     def runtime_s(self) -> float:
@@ -149,23 +161,43 @@ class ElasticRecord:
         return self.start_time_s - self.submit_time_s
 
 
-def _record_to_list(record: ElasticRecord) -> list:
-    return [
-        record.job_id,
-        record.submit_time_s,
-        record.start_time_s,
-        record.end_time_s,
-        record.setting,
-        record.effective_ghz,
-        record.node_seconds,
-        record.energy_j,
-        record.truncated,
-        record.interrupted,
-    ]
+def _drop_started(waiting: deque[Job], window: list[Job], started: list[Job]) -> None:
+    """Take the candidates a backfill pass started out of the queue.
+
+    ``window`` is the scan that followed the head at the front of
+    ``waiting``. Only that prefix is rebuilt, so a pass costs the backfill
+    depth rather than the queue length, and a pass that started nothing
+    costs nothing here.
+    """
+    if not started:
+        return
+    head = waiting.popleft()
+    for _ in window:
+        waiting.popleft()
+    started_ids = {job.job_id for job in started}
+    waiting.extendleft(reversed([job for job in window if job.job_id not in started_ids]))
+    waiting.appendleft(head)
 
 
-def _record_from_list(raw: list) -> ElasticRecord:
-    return ElasticRecord(
+class _RecordRow(NamedTuple):
+    """An :class:`ElasticRecord` as the kernel holds it until a result is
+    asked for: cheaper to make than the frozen record, and its own
+    checkpoint form."""
+
+    job_id: int
+    submit_time_s: float
+    start_time_s: float
+    end_time_s: float
+    setting: str
+    effective_ghz: float
+    node_seconds: float
+    node_power_w: float
+    truncated: bool
+    interrupted: bool
+
+
+def _row_from_list(raw: list) -> _RecordRow:
+    return _RecordRow(
         job_id=int(raw[0]),
         submit_time_s=float(raw[1]),
         start_time_s=float(raw[2]),
@@ -173,13 +205,13 @@ def _record_from_list(raw: list) -> ElasticRecord:
         setting=str(raw[4]),
         effective_ghz=float(raw[5]),
         node_seconds=float(raw[6]),
-        energy_j=float(raw[7]),
+        node_power_w=float(raw[7]),
         truncated=bool(raw[8]),
-        interrupted=bool(raw[9]) if len(raw) > 9 else False,
+        interrupted=bool(raw[9]),
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class _ElasticRun:
     """Book-keeping for one in-flight (possibly reshaped) job."""
 
@@ -326,6 +358,15 @@ class MalleableSimulation:
     from its seed); everything else — queue, pool, waiting order, run
     states, records, trace, counters, RNG — round-trips through
     :meth:`state_dict` / :meth:`load_state_dict` bit-identically.
+
+    A scheduler without a forecast (``scheduler.forecast is None``) makes
+    this rigid EASY backfill, the kernel behind
+    :class:`~repro.scheduler.backfill.BackfillScheduler`: no carbon ticks,
+    forecast lookups or submit-time shifting, every job runs at its
+    ``n_nodes`` under plain ``environment.resolve``, admission needs that
+    width to fit, and a killed job restarts from zero whatever the fault
+    config's checkpoint interval says. Jobs still running at the horizon
+    are then reported in start order rather than job-id order.
     """
 
     def __init__(
@@ -340,16 +381,23 @@ class MalleableSimulation:
         self.scheduler = scheduler
         self.t_start_s = t_start_s
         self.t_end_s = t_end_s
+        self._rigid = scheduler.forecast is None
         available = scheduler.n_nodes - scheduler.offline_nodes
-        validate_jobs(jobs, available, scheduler.offline_nodes, elastic=True)
+        validate_jobs(
+            jobs, available, scheduler.offline_nodes, elastic=not self._rigid
+        )
         self._jobs = {job.job_id: job for job in jobs}
         if len(self._jobs) != len(jobs):
             raise SchedulingError("job ids must be unique")
-        self._shapes = {job.job_id: JobShape.from_job(job) for job in jobs}
+        # Shapes only for jobs that may be reshaped; every other job runs at
+        # its n_nodes with stretch exactly 1.
+        self._shapes = {} if self._rigid else {
+            job.job_id: JobShape.from_job(job) for job in jobs if job.is_elastic
+        }
 
         self._pool = NodePool(available)
         self._queue = EventQueue()
-        self._waiting: deque[int] = deque()
+        self._waiting: deque[Job] = deque()
         self._running: dict[int, _ElasticRun] = {}
         # Running jobs ordered by (predicted end, job id), the reservation's
         # walk order, kept with insort; _end_key holds each job's entry key.
@@ -360,10 +408,11 @@ class MalleableSimulation:
         self._end_key: dict[int, float] = {}
         # Backfill runtime probes, job id -> (token, unstretched runtime).
         # The token is (environment state, planning CI or None when
-        # degraded): the resolved runtime depends on nothing else. A pure
-        # cache, popped when a job starts and never checkpointed.
+        # degraded), and the state alone in a rigid run, which plans
+        # against no CI: the resolved runtime depends on nothing else. A
+        # pure cache, popped when a job starts and never checkpointed.
         self._probes: dict[int, tuple[Hashable, float]] = {}
-        self._records: list[ElasticRecord] = []
+        self._records: list[_RecordRow] = []
         self._trace = TraceBuilder(t_start_s)
         self._rng = np.random.default_rng(scheduler.seed)
         self._busy_power_w = 0.0
@@ -397,7 +446,11 @@ class MalleableSimulation:
         self._n_degraded_ticks = 0
         self._n_degraded_starts = 0
 
-        for job in sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id)):
+        # (submit time, job id) order by two stable sorts, with no key tuple
+        # per job for the garbage collector to track.
+        by_submit = sorted(jobs, key=attrgetter("job_id"))
+        by_submit.sort(key=attrgetter("submit_time_s"))
+        for job in by_submit:
             if job.submit_time_s < t_end_s:
                 self._queue.push(
                     Event(job.submit_time_s, EventKind.JOB_SUBMIT, job.job_id)
@@ -406,7 +459,7 @@ class MalleableSimulation:
         self._n_submits_remaining = self.n_jobs
         self._queue.push(Event(t_end_s, EventKind.SIM_END))
         first_tick_s = t_start_s + scheduler.carbon_tick_interval_s
-        if first_tick_s < t_end_s:
+        if not self._rigid and first_tick_s < t_end_s:
             self._queue.push(Event(first_tick_s, EventKind.CARBON_TICK))
         if faults is not None:
             self._schedule_next_failure(t_start_s)
@@ -421,22 +474,27 @@ class MalleableSimulation:
         """Bring a run's progress and node-second account up to ``now_s``."""
         dt_s = now_s - run.last_update_s
         if dt_s > 0:
-            shape = self._shapes[run.job_id]
-            rate = shape.rate_per_s(run.alloc, run.preferred_runtime_s)
+            shape = self._shapes.get(run.job_id)
+            if shape is None:
+                rate = 1.0 / run.preferred_runtime_s
+            else:
+                rate = shape.rate_per_s(run.alloc, run.preferred_runtime_s)
             run.progress = min(1.0, run.progress + dt_s * rate)
             run.node_seconds += dt_s * run.alloc
             run.last_update_s = now_s
 
     def _end_estimate_s(self, run: _ElasticRun) -> float:
-        shape = self._shapes[run.job_id]
-        rate = shape.rate_per_s(run.alloc, run.preferred_runtime_s)
         remaining = max(0.0, 1.0 - run.progress)
+        shape = self._shapes.get(run.job_id)
+        if shape is None:
+            # Never reshaped, so this is its end event's time, bit for bit.
+            return run.last_update_s + run.preferred_runtime_s * remaining
+        rate = shape.rate_per_s(run.alloc, run.preferred_runtime_s)
         return run.last_update_s + remaining / rate
 
-    def _insert_end(self, run: _ElasticRun) -> None:
-        end_s = self._end_estimate_s(run)
-        self._end_key[run.job_id] = end_s
-        insort(self._by_end, (end_s, run.job_id))
+    def _insert_end(self, job_id: int, end_s: float) -> None:
+        self._end_key[job_id] = end_s
+        insort(self._by_end, (end_s, job_id))
 
     def _remove_end(self, job_id: int) -> None:
         entry = (self._end_key.pop(job_id), job_id)
@@ -481,32 +539,18 @@ class MalleableSimulation:
         """A node failure hit this job: charge the burn, requeue or drop."""
         faults = self.scheduler.fault_config
         assert faults is not None and self._fault_rng is not None
-        self._advance(run, now_s)
-        job = self._jobs[run.job_id]
-        self._records.append(
-            ElasticRecord(
-                job_id=run.job_id,
-                submit_time_s=job.submit_time_s,
-                start_time_s=run.start_s,
-                end_time_s=now_s,
-                setting=run.setting,
-                effective_ghz=run.effective_ghz,
-                node_seconds=run.node_seconds,
-                energy_j=run.node_power_w * run.node_seconds,
-                truncated=False,
-                interrupted=True,
-            )
-        )
-        # The whole attempt's burn is charged as wasted: the restart's own
-        # occupancy is accounted by its own record, and checkpoint retention
-        # shows up as *less* re-execution, not as reclaimed burn.
-        self._wasted_node_seconds += run.node_seconds
-        self._wasted_energy_j += run.node_power_w * run.node_seconds
+        if now_s > run.start_s:
+            # The whole attempt's burn is charged as wasted: the restart's
+            # own occupancy is accounted by its own record, and checkpoint
+            # retention shows up as *less* re-execution, not reclaimed burn.
+            self._finish_run(run, now_s, truncated=False, interrupted=True)
+            self._wasted_node_seconds += run.node_seconds
+            self._wasted_energy_j += run.node_power_w * run.node_seconds
         self._release(run, now_s)
         # End events of this attempt (generations <= current) must never
         # finish a requeued attempt, so the next attempt starts above them.
         self._next_gen[run.job_id] = run.generation + 1
-        if faults.checkpoint_interval_s > 0:
+        if faults.checkpoint_interval_s > 0 and not self._rigid:
             ckpt_frac = faults.checkpoint_interval_s / run.preferred_runtime_s
             overhead_frac = faults.checkpoint_overhead_s / run.preferred_runtime_s
             kept = math.floor(run.progress / ckpt_frac) * ckpt_frac - overhead_frac
@@ -558,11 +602,17 @@ class MalleableSimulation:
 
     # -- forecast-feed degradation --------------------------------------------
 
-    def _planning_ci(self, now_s: float) -> float:
-        """The CI the scheduler *sees*: held at the feed's last refresh."""
+    def _planning_ci(self, now_s: float) -> float | None:
+        """The CI the scheduler *sees*: held at the feed's last refresh.
+
+        ``None`` without a forecast: there is nothing to plan against.
+        """
+        forecast = self.scheduler.forecast
+        if forecast is None:
+            return None
         feed = self.scheduler.feed
         if feed is None:
-            return self.scheduler.forecast.ci_at(now_s)
+            return forecast.ci_at(now_s)
         return feed.ci_at(now_s)
 
     def _degraded(self, now_s: float) -> bool:
@@ -570,30 +620,41 @@ class MalleableSimulation:
         feed = self.scheduler.feed
         return feed is not None and feed.is_stale(now_s, self.scheduler.stale_after_s)
 
-    def _choose_alloc(
-        self, shape: JobShape, ci_g_per_kwh: float, degraded: bool = False
-    ) -> int:
+    def _choose_alloc(self, shape: JobShape, ci_g_per_kwh: float | None) -> int:
         """Target allocation under the current carbon regime.
 
         High-carbon periods get the narrowest legal shape; otherwise — and
-        always when the forecast feed is too stale to trust (``degraded``,
-        the rigid-placement fallback) — the preferred one, capped at the
-        in-service pool so an oversize preference still admits (validation
-        guarantees the minimum fits a healthy machine).
+        always when there is no CI to plan against (``None``: the forecast
+        feed is too stale to trust, the rigid-placement fallback) — the
+        preferred one, capped at the in-service pool so an oversize
+        preference still admits (validation guarantees the minimum fits a
+        healthy machine).
         """
-        if not degraded and ci_g_per_kwh > self.scheduler.high_g_per_kwh:
+        if ci_g_per_kwh is not None and ci_g_per_kwh > self.scheduler.high_g_per_kwh:
             target = shape.min_nodes
         else:
             target = shape.preferred_nodes
         return max(shape.min_nodes, min(target, self._pool.up_nodes))
 
+    def _squeeze(self, shape: JobShape, ci_g_per_kwh: float | None, free: int) -> int:
+        """A shaped job's allocation with ``free`` nodes free, 0 if none.
+
+        Its regime target, narrowed toward its minimum shape if that is what
+        fits (an unshaped job needs exactly its ``n_nodes``).
+        """
+        if shape.min_nodes > free:
+            return 0
+        return min(self._choose_alloc(shape, ci_g_per_kwh), free)
+
     def _resolve(
-        self, job: Job, now_s: float, ci_g_per_kwh: float, degraded: bool
+        self, job: Job, now_s: float, ci_g_per_kwh: float | None
     ) -> ResolvedExecution:
         environment = self.scheduler.environment
-        if degraded:
-            # Feed too stale to trust: static frequency policy (carbon-blind).
+        if ci_g_per_kwh is None:
+            # No forecast, or a feed too stale to trust: static frequency
+            # policy (carbon-blind).
             return environment.resolve(job, now_s)
+        assert isinstance(environment, CarbonAwareEnvironment)
         return environment.resolve_at_ci(job, now_s, ci_g_per_kwh)
 
     def _start_job(
@@ -601,13 +662,14 @@ class MalleableSimulation:
         job: Job,
         alloc: int,
         now_s: float,
-        ci_g_per_kwh: float,
+        ci_g_per_kwh: float | None,
         degraded: bool = False,
     ) -> None:
-        resolved = self._resolve(job, now_s, ci_g_per_kwh, degraded)
+        resolved = self._resolve(job, now_s, ci_g_per_kwh)
         if degraded:
             self._n_degraded_starts += 1
-        shape = self._shapes[job.job_id]
+        shape = self._shapes.get(job.job_id)
+        stretch = 1.0 if shape is None else shape.stretch(alloc)
         self._probes.pop(job.job_id, None)
         self._pool.allocate(alloc)
         self._busy_power_w += resolved.node_power_w * alloc
@@ -625,12 +687,15 @@ class MalleableSimulation:
             setting=resolved.setting.value,
             effective_ghz=resolved.effective_ghz,
             node_seconds=0.0,
-            priority=float(self._rng.random()),
+            # Only reshapes read the priority, so a rigid run draws none.
+            priority=0.0 if self._rigid else float(self._rng.random()),
         )
         self._running[job.job_id] = run
-        self._insert_end(run)
+        end_s = now_s + resolved.runtime_s * stretch * (1.0 - progress0)
+        self._insert_end(
+            job.job_id, end_s if shape is None else self._end_estimate_s(run)
+        )
         self._record_trace(now_s)
-        end_s = now_s + resolved.runtime_s * shape.stretch(alloc) * (1.0 - progress0)
         if end_s <= self.t_end_s:
             self._queue.push(
                 Event(end_s, EventKind.JOB_END, (job.job_id, generation0))
@@ -651,7 +716,7 @@ class MalleableSimulation:
             self._busy_power_w = 0.0
         run.alloc = new_alloc
         run.generation += 1
-        self._insert_end(run)
+        self._insert_end(run.job_id, self._end_estimate_s(run))
         self._record_trace(now_s)
         end_s = self._end_key[run.job_id]
         if end_s <= self.t_end_s:
@@ -659,39 +724,42 @@ class MalleableSimulation:
                 Event(end_s, EventKind.JOB_END, (run.job_id, run.generation))
             )
 
-    def _finish_run(self, run: _ElasticRun, end_s: float, truncated: bool) -> None:
+    def _finish_run(
+        self, run: _ElasticRun, end_s: float, truncated: bool, interrupted: bool = False
+    ) -> None:
         self._advance(run, end_s)
-        job = self._jobs[run.job_id]
         self._records.append(
-            ElasticRecord(
-                job_id=run.job_id,
-                submit_time_s=job.submit_time_s,
-                start_time_s=run.start_s,
-                end_time_s=end_s,
-                setting=run.setting,
-                effective_ghz=run.effective_ghz,
-                node_seconds=run.node_seconds,
-                energy_j=run.node_power_w * run.node_seconds,
-                truncated=truncated,
+            _RecordRow(
+                run.job_id,
+                self._jobs[run.job_id].submit_time_s,
+                run.start_s,
+                end_s,
+                run.setting,
+                run.effective_ghz,
+                run.node_seconds,
+                run.node_power_w,
+                truncated,
+                interrupted,
             )
         )
 
     def _on_submit(self, job: Job, now_s: float) -> None:
         self._n_submits_remaining -= 1
         index = self.scheduler.forecast
-        latest_s = min(now_s + job.shift_slack_s, self.t_end_s)
-        if job.shift_slack_s > 0 and latest_s > now_s and not self._degraded(now_s):
-            duration_s = job.reference_runtime_s
-            window = index.greenest_window(duration_s, now_s, latest_s)
-            now_mean = index.window_mean(now_s, now_s + duration_s)
-            if window.t_start_s > now_s and window.mean_ci_g_per_kwh < now_mean:
-                self._queue.push(
-                    Event(window.t_start_s, EventKind.JOB_RELEASE, job.job_id)
-                )
-                self._n_pending_release += 1
-                self.n_shifted += 1
-                return
-        self._waiting.append(job.job_id)
+        if index is not None and job.shift_slack_s > 0 and not self._degraded(now_s):
+            latest_s = min(now_s + job.shift_slack_s, self.t_end_s)
+            if latest_s > now_s:
+                duration_s = job.reference_runtime_s
+                window = index.greenest_window(duration_s, now_s, latest_s)
+                now_mean = index.window_mean(now_s, now_s + duration_s)
+                if window.t_start_s > now_s and window.mean_ci_g_per_kwh < now_mean:
+                    self._queue.push(
+                        Event(window.t_start_s, EventKind.JOB_RELEASE, job.job_id)
+                    )
+                    self._n_pending_release += 1
+                    self.n_shifted += 1
+                    return
+        self._waiting.append(job)
 
     def _on_end(self, payload: tuple, now_s: float) -> None:
         job_id, generation = payload
@@ -702,30 +770,31 @@ class MalleableSimulation:
         self._release(run, now_s)
         self._n_completed += 1
 
-    def _reshape_order(self) -> list[_ElasticRun]:
-        """Deterministic reshape ordering: oldest first, seeded tie-break."""
-        return sorted(
-            self._running.values(),
+    def _reshape_order(self) -> list[tuple[_ElasticRun, JobShape]]:
+        """Shaped runs in deterministic reshape order: oldest first, seeded
+        tie-break."""
+        shapes = self._shapes
+        runs = sorted(
+            (run for run in self._running.values() if run.job_id in shapes),
             key=lambda r: (r.start_s, r.priority, r.job_id),
         )
+        return [(run, shapes[run.job_id]) for run in runs]
 
     def _on_tick(self, now_s: float) -> None:
         sched = self.scheduler
         degraded = self._degraded(now_s)
         if degraded:
             self._n_degraded_ticks += 1
-        ci = self._planning_ci(now_s)
-        if not degraded and ci > sched.high_g_per_kwh:
-            for run in self._reshape_order():
-                shape = self._shapes[run.job_id]
+        ci = None if degraded else self._planning_ci(now_s)
+        if ci is not None and ci > sched.high_g_per_kwh:
+            for run, shape in self._reshape_order():
                 if shape.is_elastic and run.alloc > shape.min_nodes:
                     self._reallocate(run, shape.min_nodes, now_s)
         else:
             # Degraded ticks fall back to rigid intent: grow every elastic
             # job back toward its preferred shape (also the clean-recovery
             # path once the feed returns).
-            for run in self._reshape_order():
-                shape = self._shapes[run.job_id]
+            for run, shape in self._reshape_order():
                 if not shape.is_elastic or run.alloc >= shape.preferred_nodes:
                     continue
                 target = min(shape.preferred_nodes, run.alloc + self._pool.free)
@@ -760,61 +829,76 @@ class MalleableSimulation:
         )
 
     def _schedule_pass(self, now_s: float) -> None:
-        degraded = self._degraded(now_s)
-        ci = self._planning_ci(now_s)
-        # FCFS phase with moldable squeeze: the head starts at its regime
-        # target, narrowed toward its minimum shape if that is what fits.
-        while self._waiting:
-            shape = self._shapes[self._waiting[0]]
-            alloc = self._choose_alloc(shape, ci, degraded)
-            if not self._pool.fits(alloc):
-                alloc = min(alloc, self._pool.free)
-                if alloc < shape.min_nodes:
-                    break
-            job = self._jobs[self._waiting.popleft()]
-            self._start_job(job, alloc, now_s, ci, degraded)
-        # With no node free every candidate's allocation clamps to zero,
-        # below its minimum shape, so the backfill phase could start nothing.
-        if not self._waiting or self._pool.free == 0:
+        degraded = False
+        ci: float | None = None
+        if not self._rigid:
+            degraded = self._degraded(now_s)
+            ci = None if degraded else self._planning_ci(now_s)
+        waiting = self._waiting
+        pool = self._pool
+        shapes = self._shapes
+        # FCFS phase: start queue heads while they fit.
+        while waiting:
+            job = waiting[0]
+            if shapes and job.job_id in shapes:
+                alloc = self._squeeze(shapes[job.job_id], ci, pool.free)
+            else:
+                alloc = job.n_nodes if job.n_nodes <= pool.free else 0
+            if alloc == 0:
+                break
+            self._start_job(waiting.popleft(), alloc, now_s, ci, degraded)
+        # With no node free no candidate fits, so the backfill phase could
+        # start nothing.
+        free = pool.free
+        if not waiting or free == 0:
             return
         # EASY backfill phase: reserve for the head, fill around it.
-        head_shape = self._shapes[self._waiting[0]]
-        head_need = self._choose_alloc(head_shape, ci, degraded)
+        head = waiting[0]
+        if shapes and head.job_id in shapes:
+            head_need = self._choose_alloc(shapes[head.job_id], ci)
+        else:
+            head_need = head.n_nodes
         shadow_s, spare = self._reservation(head_need, now_s)
-        window = list(islice(self._waiting, 1, 1 + self.scheduler.backfill_depth))
-        kept = [self._waiting[0]]
-        token = (
-            self.scheduler.environment.state_index(now_s),
-            None if degraded else ci,
-        )
-        for job_id in window:
-            shape = self._shapes[job_id]
-            alloc = self._choose_alloc(shape, ci, degraded)
-            if not self._pool.fits(alloc):
-                alloc = min(alloc, self._pool.free)
-                if alloc < shape.min_nodes:
-                    kept.append(job_id)
+        window = list(islice(waiting, 1, 1 + self.scheduler.backfill_depth))
+        started: list[Job] = []
+        token = self.scheduler.environment.state_index(now_s)
+        if not self._rigid:
+            token = (token, ci)
+        probes = self._probes
+        for job in window:
+            if shapes and job.job_id in shapes:
+                shape = shapes[job.job_id]
+                alloc = self._squeeze(shape, ci, free)
+                if alloc == 0:
                     continue
-            job = self._jobs[job_id]
-            probe = self._probes.get(job_id)
+                stretch = shape.stretch(alloc)
+            elif job.n_nodes > free:
+                continue
+            else:
+                alloc = job.n_nodes
+                stretch = 1.0
+            probe = probes.get(job.job_id)
             if probe is not None and probe[0] == token:
                 runtime_s = probe[1]
             else:
-                runtime_s = self._resolve(job, now_s, ci, degraded).runtime_s
-                self._probes[job_id] = (token, runtime_s)
-            runtime_s *= shape.stretch(alloc)
+                runtime_s = self._resolve(job, now_s, ci).runtime_s
+                probes[job.job_id] = (token, runtime_s)
+            runtime_s *= stretch
             ends_before_shadow = now_s + runtime_s <= shadow_s
             within_spare = alloc <= spare
             if ends_before_shadow or within_spare:
                 self._start_job(job, alloc, now_s, ci, degraded)
+                started.append(job)
+                free -= alloc
                 if within_spare and not ends_before_shadow:
                     spare -= alloc
-            else:
-                kept.append(job_id)
-        replace_window(self._waiting, window, kept)
+        _drop_started(waiting, window, started)
 
     def _finalize(self) -> None:
-        for run in sorted(self._running.values(), key=lambda r: r.job_id):
+        runs = list(self._running.values())  # start order
+        if not self._rigid:
+            runs.sort(key=lambda r: r.job_id)
+        for run in runs:
             self._finish_run(run, self.t_end_s, truncated=True)
         self._integrate_drain(self.t_end_s)
         self._done = True
@@ -830,23 +914,22 @@ class MalleableSimulation:
         """Process one event; returns False once the simulation has ended."""
         if self._done:
             return False
-        event = self._queue.pop()
-        now_s = event.time_s
-        if event.kind is EventKind.SIM_END:
+        now_s, kind, payload = self._queue.pop()
+        if kind is EventKind.SIM_END:
             self._finalize()
             return False
-        if event.kind is EventKind.JOB_SUBMIT:
-            self._on_submit(self._jobs[event.payload], now_s)
-        elif event.kind is EventKind.JOB_RELEASE:
+        if kind is EventKind.JOB_SUBMIT:
+            self._on_submit(self._jobs[payload], now_s)
+        elif kind is EventKind.JOB_END:
+            self._on_end(payload, now_s)
+        elif kind is EventKind.JOB_RELEASE:
             self._n_pending_release -= 1
-            self._waiting.append(event.payload)
-        elif event.kind is EventKind.JOB_END:
-            self._on_end(event.payload, now_s)
-        elif event.kind is EventKind.CARBON_TICK:
+            self._waiting.append(self._jobs[payload])
+        elif kind is EventKind.CARBON_TICK:
             self._on_tick(now_s)
-        elif event.kind is EventKind.NODE_FAIL:
-            self._on_node_fail(event.payload, now_s)
-        elif event.kind is EventKind.NODE_REPAIR:
+        elif kind is EventKind.NODE_FAIL:
+            self._on_node_fail(payload, now_s)
+        elif kind is EventKind.NODE_REPAIR:
             self._on_node_repair(now_s)
         self._schedule_pass(now_s)
         return True
@@ -865,7 +948,7 @@ class MalleableSimulation:
             n_nodes=self.scheduler.n_nodes,
             t_start_s=self.t_start_s,
             t_end_s=self.t_end_s,
-            records=list(self._records),
+            records=[ElasticRecord(*row) for row in self._records],
             n_jobs=self.n_jobs,
             n_completed=self._n_completed,
             n_running_at_end=len(self._running),
@@ -874,34 +957,71 @@ class MalleableSimulation:
             n_shrinks=self.n_shrinks,
             n_grows=self.n_grows,
             trace=self._trace.build(self.t_end_s),
-            faults=FaultAccounting(
-                n_failures=self._n_failures,
-                n_job_kills=self._n_job_kills,
-                n_retries=self._n_retries,
-                n_failed_terminal=self._n_failed_terminal,
-                wasted_node_seconds=self._wasted_node_seconds,
-                wasted_energy_j=self._wasted_energy_j,
-                drained_node_seconds=self._drained_integral,
-                n_degraded_ticks=self._n_degraded_ticks,
-                n_degraded_starts=self._n_degraded_starts,
-            ),
+            faults=self._fault_accounting(),
+        )
+
+    def rigid_result(self) -> SimulationResult:
+        """The finished run's result as rigid :class:`JobRecord` s.
+
+        Only a run without a forecast has them: every record ran at its
+        job's ``n_nodes`` throughout.
+        """
+        if not self._rigid:
+            raise SchedulingError("only a run without a forecast is rigid")
+        if not self._done:
+            raise SchedulingError("simulation has not finished")
+        jobs = self._jobs
+        records = [
+            JobRecord(
+                job=jobs[row.job_id],
+                start_time_s=row.start_time_s,
+                end_time_s=row.end_time_s,
+                setting=_SETTINGS[row.setting],
+                effective_ghz=row.effective_ghz,
+                node_power_w=row.node_power_w,
+                interrupted=row.interrupted,
+            )
+            for row in self._records
+        ]
+        return SimulationResult(
+            n_nodes=self.scheduler.n_nodes,
+            t_start_s=self.t_start_s,
+            t_end_s=self.t_end_s,
+            records=records,
+            n_unstarted=len(self._waiting) + self._n_pending_release,
+            trace=self._trace.build(self.t_end_s),
+            n_jobs=self.n_jobs,
+            n_completed=self._n_completed,
+            n_running_at_end=len(self._running),
+            faults=self._fault_accounting(),
+        )
+
+    def _fault_accounting(self) -> FaultAccounting:
+        return FaultAccounting(
+            n_failures=self._n_failures,
+            n_job_kills=self._n_job_kills,
+            n_retries=self._n_retries,
+            n_failed_terminal=self._n_failed_terminal,
+            wasted_node_seconds=self._wasted_node_seconds,
+            wasted_energy_j=self._wasted_energy_j,
+            drained_node_seconds=self._drained_integral,
+            n_degraded_ticks=self._n_degraded_ticks,
+            n_degraded_starts=self._n_degraded_starts,
         )
 
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
         """Full JSON-able snapshot (jobs excluded — re-supply them on load)."""
-        running = [
-            _run_to_list(self._running[job_id])
-            for job_id in sorted(self._running)
-        ]
+        # Running jobs in start order, the order horizon truncation reports.
+        running = [_run_to_list(run) for run in self._running.values()]
         return {
             "queue": self._queue.state_dict(),
             "pool": self._pool.state_dict(),
             "trace": self._trace.state_dict(),
-            "waiting": list(self._waiting),
+            "waiting": [job.job_id for job in self._waiting],
             "running": running,
-            "records": [_record_to_list(r) for r in self._records],
+            "records": [list(row) for row in self._records],
             "rng": self._rng.bit_generator.state,
             "busy_power_w": self._busy_power_w,
             "done": self._done,
@@ -941,7 +1061,7 @@ class MalleableSimulation:
         self._queue.load_state_dict(state["queue"])
         self._pool.load_state_dict(state["pool"])
         self._trace.load_state_dict(state["trace"])
-        self._waiting = deque(int(j) for j in state["waiting"])
+        self._waiting = deque(self._jobs[int(j)] for j in state["waiting"])
         self._running = {
             run.job_id: run
             for run in (_run_from_list(raw) for raw in state["running"])
@@ -951,7 +1071,7 @@ class MalleableSimulation:
         }
         self._by_end = sorted((end_s, job_id) for job_id, end_s in self._end_key.items())
         self._probes = {}
-        self._records = [_record_from_list(raw) for raw in state["records"]]
+        self._records = [_row_from_list(raw) for raw in state["records"]]
         self._rng.bit_generator.state = state["rng"]
         self._busy_power_w = float(state["busy_power_w"])
         self._done = bool(state["done"])
@@ -995,13 +1115,20 @@ class MalleableScheduler:
     studies pass the realised series (a perfect forecast); for skill
     studies pass a ``persistence_forecast`` / ``diurnal_template_forecast``
     product and score emissions against the realised series separately.
+    ``environment`` is then a :class:`StaticEnvironment` or
+    :class:`CarbonAwareEnvironment`.
+
+    ``ci=None`` plans against nothing: the run is rigid EASY backfill under
+    any :class:`~repro.scheduler.backfill.ExecutionEnvironment`, exactly as
+    :class:`~repro.scheduler.backfill.BackfillScheduler` runs it (see
+    :class:`MalleableSimulation`); the carbon parameters are then unused.
     """
 
     def __init__(
         self,
         n_nodes: int,
-        environment: StaticEnvironment | CarbonAwareEnvironment,
-        ci: TimeSeries,
+        environment: ExecutionEnvironment,
+        ci: TimeSeries | None,
         backfill_depth: int = 100,
         offline_nodes: int = 0,
         carbon_tick_interval_s: float = 1800.0,
@@ -1028,18 +1155,27 @@ class MalleableScheduler:
                 f"(got {low_g_per_kwh} >= {high_g_per_kwh})"
             )
         self.n_nodes = n_nodes
-        if isinstance(environment, CarbonAwareEnvironment):
-            environment = replace(
-                environment,
-                low_g_per_kwh=low_g_per_kwh,
-                high_g_per_kwh=high_g_per_kwh,
-            )
-        else:
-            environment = CarbonAwareEnvironment(
-                environment, low_g_per_kwh, high_g_per_kwh
-            )
+        self.forecast: ForecastIndex | None = None
+        if ci is not None:
+            if isinstance(environment, CarbonAwareEnvironment):
+                environment = replace(
+                    environment,
+                    low_g_per_kwh=low_g_per_kwh,
+                    high_g_per_kwh=high_g_per_kwh,
+                )
+            elif isinstance(environment, StaticEnvironment):
+                environment = CarbonAwareEnvironment(
+                    environment, low_g_per_kwh, high_g_per_kwh
+                )
+            else:
+                raise SchedulingError(
+                    "carbon-aware planning needs a StaticEnvironment or "
+                    "CarbonAwareEnvironment"
+                )
+            self.forecast = ForecastIndex(ci)
+        elif feed is not None:
+            raise SchedulingError("a forecast feed needs a CI forecast")
         self.environment = environment
-        self.forecast = ForecastIndex(ci)
         self.backfill_depth = backfill_depth
         self.offline_nodes = offline_nodes
         self.carbon_tick_interval_s = carbon_tick_interval_s

@@ -4,8 +4,8 @@ A malleable scheduler needs one number per (job, allocation) pair: the
 runtime *stretch* relative to the job's preferred allocation. The stretch
 comes from the strong-scaling model (:mod:`repro.workload.scaling`) —
 ``t(n) = t₁·(s + (1−s)/n + c·ln n)`` — normalised so the preferred node
-count has stretch exactly 1.0, which keeps malleable simulations
-bit-compatible with rigid ones when no grow/shrink ever fires.
+count has stretch exactly 1.0, which keeps a job that is never reshaped
+at exactly its rigid runtime.
 
 Because the scaling overheads grow with node count, ``n · stretch(n)`` is
 monotone increasing: shrinking a job always *reduces* its node-seconds (and

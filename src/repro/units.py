@@ -22,6 +22,7 @@ vectorisation-friendly.
 
 from __future__ import annotations
 
+import math
 from typing import TypeVar
 
 import numpy as np
@@ -226,20 +227,20 @@ def node_hours(n_nodes: _T, duration_s: _T) -> _T:
 
 def ensure_nonnegative(value: float, name: str) -> float:
     """Return ``value`` unchanged, raising :class:`UnitError` if negative or NaN."""
-    if not np.isfinite(value) or value < 0:
+    if not math.isfinite(value) or value < 0:
         raise UnitError(f"{name} must be a finite non-negative number, got {value!r}")
     return float(value)
 
 
 def ensure_positive(value: float, name: str) -> float:
     """Return ``value`` unchanged, raising :class:`UnitError` unless strictly positive."""
-    if not np.isfinite(value) or value <= 0:
+    if not math.isfinite(value) or value <= 0:
         raise UnitError(f"{name} must be a finite positive number, got {value!r}")
     return float(value)
 
 
 def ensure_fraction(value: float, name: str) -> float:
     """Return ``value`` unchanged, raising :class:`UnitError` unless in [0, 1]."""
-    if not np.isfinite(value) or not 0.0 <= value <= 1.0:
+    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise UnitError(f"{name} must be within [0, 1], got {value!r}")
     return float(value)

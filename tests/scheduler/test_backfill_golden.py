@@ -9,9 +9,16 @@ The three runs cover the ways the environment can change under a waiting
 queue: an intervention that lands while the queue is blocked, seeded node
 failures that kill and requeue jobs, and demand-response stress windows
 whose edges fall between backfill decisions for the same candidates.
+
+The rigid scheduler runs on the checkpointable kernel (a scheduler with no
+forecast), so the faulted run must also survive kill/resume at several cuts
+with its digest unchanged, and a checkpoint interval in its fault config
+must change nothing: rigid jobs restart from zero.
 """
 
 import hashlib
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +34,7 @@ from repro.grid.events import GridStressEvent
 from repro.node.calibration import build_node_model
 from repro.scheduler.backfill import BackfillScheduler, StaticEnvironment
 from repro.scheduler.demand_response import DemandResponseEnvironment
+from repro.scheduler.malleable import MalleableScheduler
 from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.workload.generator import JobStreamConfig, JobStreamGenerator
 from repro.workload.mix import archer2_mix
@@ -34,6 +42,8 @@ from repro.workload.mix import archer2_mix
 N_NODES = 64
 T_END = 8 * SECONDS_PER_DAY
 CHANGE_S = 4 * SECONDS_PER_DAY
+FAULTS = FaultConfig(model=FailureModel(mtbf_hours=150.0, mttr_hours=6.0), seed=7)
+RESUME_CUTS = (100, 500, 1000)
 
 #: Digests of the three runs below. An optimisation of the kernel must
 #: leave every one unchanged; a digest moves only with a deliberate change
@@ -105,13 +115,14 @@ def scheduled_run(node_model):
 
 
 @pytest.fixture(scope="module")
-def faulted_run(node_model):
-    faults = FaultConfig(
-        model=FailureModel(mtbf_hours=150.0, mttr_hours=6.0), seed=7
-    )
+def faulted_jobs():
+    return make_jobs(seed=11, offered_load=2.5, mean_runtime_s=2 * SECONDS_PER_HOUR)
+
+
+@pytest.fixture(scope="module")
+def faulted_run(node_model, faulted_jobs):
     env = StaticEnvironment(node_model=node_model)
-    jobs = make_jobs(seed=11, offered_load=2.5, mean_runtime_s=2 * SECONDS_PER_HOUR)
-    return BackfillScheduler(N_NODES, fault_config=faults).run(jobs, T_END, env)
+    return BackfillScheduler(N_NODES, fault_config=FAULTS).run(faulted_jobs, T_END, env)
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +169,64 @@ class TestGoldenDigests:
     def test_runs_reconcile(self, scheduled_run, faulted_run, demand_response_run):
         for result in (scheduled_run, faulted_run, demand_response_run):
             assert result.reconciles()
+
+
+class TestRigidKernel:
+    @pytest.fixture(scope="class")
+    def scheduler(self, node_model):
+        return MalleableScheduler(
+            N_NODES, StaticEnvironment(node_model=node_model), None, fault_config=FAULTS
+        )
+
+    def resumed_digest(self, scheduler, jobs, cut: int) -> str:
+        sim = scheduler.simulation(jobs, T_END)
+        for _ in range(cut):
+            assert sim.step()
+        snapshot = json.loads(json.dumps(sim.state_dict()))
+        resumed = scheduler.simulation(jobs, T_END)
+        resumed.load_state_dict(snapshot)
+        while resumed.step():
+            pass
+        return result_digest(resumed.rigid_result())
+
+    @pytest.mark.parametrize("cut", RESUME_CUTS)
+    def test_kill_resume_reproduces_digest(self, scheduler, faulted_jobs, cut):
+        assert self.resumed_digest(scheduler, faulted_jobs, cut) == GOLDEN["faulted"]
+
+    def test_resume_after_the_last_start_keeps_start_order(
+        self, scheduler, faulted_jobs, faulted_run
+    ):
+        """The jobs still running at the horizon are reported in start
+        order, which a snapshot taken after every start must carry."""
+        truncated = [r.job.job_id for r in faulted_run.records if r.end_time_s == T_END]
+        assert truncated != sorted(truncated)
+        sim = scheduler.simulation(faulted_jobs, T_END)
+        n_steps = 0
+        while sim.step():
+            n_steps += 1
+        assert self.resumed_digest(scheduler, faulted_jobs, n_steps) == GOLDEN["faulted"]
+
+    def test_cuts_fall_between_kills(self, scheduler, faulted_jobs, faulted_run):
+        """Every cut snapshots live fault state: kills before it, kills after."""
+        sim = scheduler.simulation(faulted_jobs, T_END)
+        kills = [0]
+        for step in range(1, max(RESUME_CUTS) + 1):
+            assert sim.step()
+            if step in RESUME_CUTS:
+                kills.append(sim.state_dict()["n_job_kills"])
+        kills.append(faulted_run.faults.n_job_kills)
+        assert kills == sorted(set(kills))
+
+    def test_checkpoint_interval_leaves_rigid_jobs_restarting_from_zero(
+        self, node_model, faulted_jobs
+    ):
+        """``compare_rigid_malleable`` (and ``repro sched --ckpt-minutes``)
+        hands one fault config to both sides; only the malleable side keeps
+        checkpointed progress."""
+        faults = replace(FAULTS, checkpoint_interval_s=3600.0)
+        env = StaticEnvironment(node_model=node_model)
+        result = BackfillScheduler(N_NODES, fault_config=faults).run(
+            faulted_jobs, T_END, env
+        )
+        assert result.faults.n_job_kills > 0
+        assert result_digest(result) == GOLDEN["faulted"]

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.errors import SchedulingError
+from repro.grid.forecast import ForecastFeed, ForecastIndex
 from repro.node.calibration import build_node_model
 from repro.scheduler.backfill import BackfillScheduler, StaticEnvironment
+from repro.scheduler.demand_response import DemandResponseEnvironment
 from repro.scheduler.malleable import (
     MalleableScheduler,
     compare_rigid_malleable,
@@ -50,7 +53,9 @@ def make_job(job_id, n_nodes, submit, runtime, min_nodes=None, max_nodes=None, s
 class TestRigidParity:
     def test_rigid_trace_on_inelastic_workload(self, env):
         """With no elastic jobs, no slack and balanced CI, the malleable
-        scheduler reduces to EASY backfill: identical starts and energy."""
+        scheduler makes the rigid scheduler's starts and energy here, because
+        no carbon-tick pass happens to start a job on this trace. That does
+        not hold in general (see the tick-pass test below)."""
         jobs = [
             make_job(0, 12, 0.0, 10_000.0),
             make_job(1, 16, 10.0, 3600.0),
@@ -67,6 +72,43 @@ class TestRigidParity:
         assert malleable.total_energy_kwh() == pytest.approx(
             rigid.total_energy_kwh(), rel=1e-12
         )
+
+    def test_tick_pass_can_start_a_job_earlier(self, env):
+        """Every carbon tick runs a schedule pass of its own, so balanced CI
+        alone does not make the malleable scheduler rigid EASY.
+
+        Job 2 (the whole machine) blocks the queue until job 0 ends. When
+        job 1 ends, job 3 backfills out of the one-deep window, which moves
+        job 4 into it after the pass has scanned it. Rigid EASY next looks
+        at job 4 at the next job event, job 3's end; the malleable scheduler
+        looks at it at the 1,800 s tick and starts it there. Without a
+        forecast the kernel has no ticks and makes the rigid starts."""
+        jobs = [
+            make_job(0, 8, 0.0, 10_000.0),
+            make_job(1, 6, 0.0, 500.0),
+            make_job(2, 16, 10.0, 3600.0),
+            make_job(3, 6, 20.0, 2000.0),
+            make_job(4, 2, 30.0, 1000.0),
+        ]
+        t_end = 2 * SECONDS_PER_DAY
+        tick_s = 1800.0
+        rigid = BackfillScheduler(16, backfill_depth=1).run(jobs, t_end, env)
+        malleable = MalleableScheduler(
+            16, env, flat_ci(65.0), backfill_depth=1, carbon_tick_interval_s=tick_s
+        ).run(jobs, t_end)
+        no_forecast = MalleableScheduler(16, env, None, backfill_depth=1).run(
+            jobs, t_end
+        )
+        rigid_starts = {r.job.job_id: r.start_time_s for r in rigid.records}
+        job3_end = next(r.end_time_s for r in rigid.records if r.job.job_id == 3)
+        assert rigid_starts[3] < tick_s < job3_end
+        assert rigid_starts[4] == job3_end
+        malleable_starts = {r.job_id: r.start_time_s for r in malleable.records}
+        assert malleable_starts[4] == tick_s
+        assert {k: v for k, v in malleable_starts.items() if k != 4} == {
+            k: v for k, v in rigid_starts.items() if k != 4
+        }
+        assert {r.job_id: r.start_time_s for r in no_forecast.records} == rigid_starts
 
 
 class TestCarbonBehaviour:
@@ -124,6 +166,22 @@ class TestCarbonBehaviour:
         )
         assert result.n_shifted == 0
         assert result.records[0].start_time_s == 0.0
+
+
+class TestForecastArguments:
+    def test_forecast_needs_a_static_environment(self, env):
+        demand_response = DemandResponseEnvironment(inner=env, events=[])
+        with pytest.raises(SchedulingError, match="StaticEnvironment"):
+            MalleableScheduler(16, demand_response, flat_ci(65.0))
+        # Without a forecast any environment runs, as BackfillScheduler runs it.
+        MalleableScheduler(16, demand_response, None).run(
+            [make_job(0, 4, 0.0, 3600.0)], SECONDS_PER_DAY
+        )
+
+    def test_feed_needs_a_forecast(self, env):
+        feed = ForecastFeed(ForecastIndex(flat_ci(65.0)), refresh_interval_s=1800.0)
+        with pytest.raises(SchedulingError, match="feed"):
+            MalleableScheduler(16, env, None, feed=feed)
 
 
 class TestSqueezeAdmission:
