@@ -19,8 +19,8 @@ from ..telemetry.series import TimeSeries
 from ..telemetry.streaming import (
     DEFAULT_CHUNK_SIZE,
     ChunkedSeriesReader,
+    MergingQuantileSketch,
     OnlineStats,
-    P2Quantile,
     as_chunk_reader,
 )
 
@@ -78,26 +78,27 @@ def summarise_streaming(
 
     Mean, standard deviation, min/max, count and span come from an
     :class:`OnlineStats` accumulator and match the batch path to float
-    accumulation error; the three percentiles use the P² streaming
-    estimator (exact below five samples, asymptotically accurate beyond).
+    accumulation error; the three percentiles come from one
+    :class:`~repro.telemetry.streaming.MergingQuantileSketch` (equal to the
+    batch percentiles below its 16,384-sample block, rank error about
+    ``F / (4 * 2048)`` after ``F`` folds beyond).
     Accepts anything :func:`~repro.telemetry.streaming.as_chunk_reader`
     does — an in-memory series, a telemetry CSV/NPZ path, or a reader.
     """
     reader = as_chunk_reader(source, chunk_size)
     stats = OnlineStats(name=reader.name)
-    quantiles = [P2Quantile(q) for q in (0.05, 0.5, 0.95)]
+    sketch = MergingQuantileSketch()
     for chunk in reader:
         stats.update(chunk.times_s, chunk.values)
-        for estimator in quantiles:
-            estimator.update(chunk.values)
+        sketch.update(chunk.values)
     if stats.n_valid == 0:
         raise AnalysisError(f"series {reader.name!r} has no valid samples")
     return BaselineStats(
         mean=stats.mean,
         std=stats.std,
-        p5=quantiles[0].result(),
-        median=quantiles[1].result(),
-        p95=quantiles[2].result(),
+        p5=sketch.result(0.05),
+        median=sketch.result(0.5),
+        p95=sketch.result(0.95),
         minimum=stats.minimum,
         maximum=stats.maximum,
         n_samples=stats.n_valid,

@@ -15,8 +15,9 @@ Subcommands:
 * ``repro serve`` — the multi-tenant facility service over HTTP/JSON, or
   its concurrency selftest (:mod:`repro.service.cli`).
 
-The legacy positional form (``python -m repro T1 T2``, ``--list`` at the
-top level) still works but prints a deprecation notice; use ``repro run``.
+Anything else as the first argument (an experiment id, ``--list``, or
+nothing) prints the subcommand list to stderr and exits 2; ``-h``/``--help``
+prints it to stdout and exits 0.
 """
 
 from __future__ import annotations
@@ -29,25 +30,29 @@ from .experiments import REGISTRY, run_experiment
 
 FAST_EXPERIMENTS = ["T1", "T2", "T3", "T4", "R1", "A1", "A2"]
 
-SUBCOMMANDS = ("run", "monitor", "sweep", "lint", "sched", "serve")
+USAGE = """usage: repro <subcommand> [args ...]
+
+subcommands:
+  run      run experiment drivers: repro run <ID> ... (--list, --validate, --export DIR)
+  monitor  live facility monitoring pipeline
+  sweep    plan/run/resume/export scenario sweeps through the vectorized engine
+  lint     AST-based contract checker over the repo's own source
+  sched    rigid vs carbon-aware malleable scheduling comparison
+  serve    multi-tenant facility service over HTTP/JSON
+
+See 'repro <subcommand> --help'.
+"""
 
 
-def build_parser(prog: str = "repro run") -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     """The ``repro run`` argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro run",
         description=(
             "Reproduce the ARCHER2 emissions/energy-efficiency case study "
             "(SC 2023) on a simulated facility."
         ),
-        epilog=(
-            "Other subcommands: 'repro monitor' runs the live facility "
-            "monitoring pipeline; 'repro sweep' plans/runs/exports scenario "
-            "sweeps through the vectorized engine; 'repro lint' runs the "
-            "AST-based contract checker; 'repro sched' compares rigid vs "
-            "carbon-aware malleable scheduling; 'repro serve' runs the "
-            "multi-tenant facility service. See their --help."
-        ),
+        epilog="Other subcommands (monitor, sweep, lint, sched, serve): see 'repro --help'.",
     )
     parser.add_argument(
         "experiments",
@@ -73,9 +78,9 @@ def build_parser(prog: str = "repro run") -> argparse.ArgumentParser:
     return parser
 
 
-def run_main(argv: list[str], prog: str = "repro run") -> int:
+def run_main(argv: list[str]) -> int:
     """``repro run`` entry point; returns a process exit code."""
-    args = build_parser(prog).parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.list:
         for exp_id in sorted(REGISTRY):
             print(exp_id)
@@ -134,15 +139,13 @@ def main(argv: list[str] | None = None) -> int:
         return serve_main(argv[1:])
     if argv and argv[0] == "run":
         return run_main(argv[1:])
-    # Legacy positional form: `python -m repro T1 T2` / top-level --list.
-    if argv and not any(arg in ("-h", "--help") for arg in argv):
-        print(
-            "note: the bare experiment form is deprecated; use 'repro run "
-            + " ".join(argv)
-            + "'",
-            file=sys.stderr,
-        )
-    return run_main(argv, prog="repro")
+    if argv and argv[0] in ("-h", "--help"):
+        print(USAGE, end="")
+        return 0
+    if argv:
+        print(f"repro: unknown subcommand {argv[0]!r}", file=sys.stderr)
+    print(USAGE, end="", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,6 @@ existing entry.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import zipfile
@@ -102,29 +101,21 @@ class SweepStore:
 
     # -- chunk I/O -----------------------------------------------------------
 
-    def has_chunk(self, spec_hash: str, lo: int, hi: int) -> bool:
-        """Whether the chunk is present on disk."""
-        return self.chunk_path(spec_hash, lo, hi).is_file()
-
     def put_chunk(
         self,
         spec: SweepSpec,
         lo: int,
         hi: int,
         columns: Mapping[str, np.ndarray],
-        *,
-        overwrite: bool = False,
     ) -> Path:
         """Atomically persist one chunk's column arrays (ignore-if-exists).
 
         The write goes to a unique temp file in the entry directory and is
         published with ``os.replace``, so readers never observe a partial
         file. The store is content-addressed and evaluation deterministic,
-        so an already-published chunk is already *this* chunk: by default a
-        racing second writer skips the publish (and, if it loses the
-        existence race inside the syscall window, the replace is still
-        byte-equivalent). Pass ``overwrite=True`` to republish anyway —
-        that is how corruption repair paths force a clean copy.
+        so an already-published chunk is already *this* chunk: a racing
+        second writer skips the publish (and, if it loses the existence race
+        inside the syscall window, the replace is still byte-equivalent).
         """
         entry = self.entry_dir(spec.spec_hash)
         entry.mkdir(parents=True, exist_ok=True)
@@ -132,7 +123,7 @@ class SweepStore:
         if not meta.exists():
             self._atomic_write_bytes(meta, spec.canonical_json().encode())
         target = self.chunk_path(spec.spec_hash, lo, hi)
-        if not overwrite and target.is_file():
+        if target.is_file():
             self.skipped_writes += 1
             return target
         fd, tmp_name = tempfile.mkstemp(
@@ -239,13 +230,3 @@ class SweepStore:
             except OSError:
                 pass
             raise
-
-    @staticmethod
-    def _spec_meta(entry: Path) -> dict | None:
-        meta = entry / "spec.json"
-        if not meta.is_file():
-            return None
-        try:
-            return json.loads(meta.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None

@@ -9,7 +9,6 @@ from .streaming import (
     ChunkedSeriesReader,
     MergingQuantileSketch,
     OnlineStats,
-    P2Quantile,
     SeriesChunk,
     as_chunk_reader,
     stream_stats,
@@ -18,7 +17,6 @@ from .streaming import (
 __all__ = [
     "TimeSeries",
     "OnlineStats",
-    "P2Quantile",
     "MergingQuantileSketch",
     "SeriesChunk",
     "ChunkedSeriesReader",

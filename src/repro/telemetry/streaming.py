@@ -9,7 +9,6 @@ alternative the analysis layer feeds from:
 * :class:`OnlineStats` — Welford/Chan accumulator for mean, variance,
   min/max, NaN-aware valid counts and the time-weighted mean, updatable in
   arbitrary chunks and mergeable across adjacent spans.
-* :class:`P2Quantile` — the P² marker estimator for streaming percentiles.
 * :class:`MergingQuantileSketch` — a block-merging quantile summary whose
   state depends only on the sequence of observations, never on how they
   were chunked, so scalar and vectorised consumers agree bit-for-bit.
@@ -38,7 +37,6 @@ from .series import TimeSeries
 __all__ = [
     "SeriesChunk",
     "OnlineStats",
-    "P2Quantile",
     "MergingQuantileSketch",
     "ChunkedSeriesReader",
     "as_chunk_reader",
@@ -344,116 +342,6 @@ class OnlineStats:
         if weight <= 0:
             return math.nan
         return tw_sum / weight
-
-
-class P2Quantile:
-    """Streaming quantile estimate via the P² algorithm (Jain & Chlamtac 1985).
-
-    Five markers track the target quantile in O(1) memory with no sorting.
-    Exact for fewer than five observations; asymptotically accurate beyond.
-    NaN observations are skipped, matching ``np.nanpercentile``'s intent.
-    """
-
-    def __init__(self, q: float) -> None:
-        """Track the ``q``-quantile, ``0 < q < 1``."""
-        if not 0.0 < q < 1.0:
-            raise TelemetryError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._buffer: list[float] = []
-        self._heights: list[float] | None = None
-        self._pos: list[float] = []
-        self._desired: list[float] = []
-        self._dn = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def add(self, x: float) -> None:
-        """Absorb one observation (NaN ignored)."""
-        if math.isnan(x):
-            return
-        if self._heights is None:
-            self._buffer.append(x)
-            if len(self._buffer) == 5:
-                self._buffer.sort()
-                self._heights = list(self._buffer)
-                self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self.q
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-            return
-        h, pos = self._heights, self._pos
-        if x < h[0]:
-            h[0] = x
-            cell = 0
-        elif x >= h[4]:
-            h[4] = x
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and x >= h[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._dn[i]
-        for i in (1, 2, 3):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    j = i + int(step)
-                    h[i] += step * (h[j] - h[i]) / (pos[j] - pos[i])
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._pos
-        return h[i] + d / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + d) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - d) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    def update(self, values: np.ndarray) -> "P2Quantile":
-        """Absorb a chunk of observations; returns ``self`` for chaining."""
-        for x in np.asarray(values, dtype=float):
-            self.add(float(x))
-        return self
-
-    def result(self) -> float:
-        """Current quantile estimate (NaN if nothing absorbed yet)."""
-        if self._heights is None:
-            if not self._buffer:
-                return math.nan
-            return float(np.percentile(self._buffer, 100.0 * self.q))
-        return float(self._heights[2])
-
-    # -- persistence -----------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of the marker state (see ``restore``)."""
-        return {
-            "q": self.q,
-            "buffer": list(self._buffer),
-            "heights": list(self._heights) if self._heights is not None else None,
-            "pos": list(self._pos),
-            "desired": list(self._desired),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Overwrite the marker state in place from a :meth:`state_dict` snapshot."""
-        self.q = state["q"]
-        self._buffer = list(state["buffer"])
-        self._heights = list(state["heights"]) if state["heights"] is not None else None
-        self._pos = list(state["pos"])
-        self._desired = list(state["desired"])
-
-    @classmethod
-    def restore(cls, state: dict) -> "P2Quantile":
-        """Rebuild a tracker from a :meth:`state_dict` snapshot, exactly."""
-        out = cls(state["q"])
-        out.load_state_dict(state)
-        return out
 
 
 class MergingQuantileSketch:

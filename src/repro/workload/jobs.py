@@ -9,13 +9,12 @@ the roofline time ratio for the operating point the job ran at.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import ConfigurationError
 from ..node.pstates import FrequencySetting
-from ..units import ensure_nonnegative, ensure_positive  # noqa: F401  (ensure_nonnegative used by JobRecord)
+from ..units import ensure_nonnegative, ensure_positive
 from .applications import AppProfile
 
 __all__ = ["Job", "JobRecord"]
@@ -52,9 +51,12 @@ class Job:
             raise ConfigurationError(f"job {self.job_id}: n_nodes must be positive")
         # Negative submit times are legal: campaigns place their warm-up
         # before the reporting window's t=0 origin.
-        if not np.isfinite(self.submit_time_s):
+        if not math.isfinite(self.submit_time_s):
             raise ConfigurationError(f"job {self.job_id}: submit_time_s must be finite")
-        ensure_positive(self.reference_runtime_s, f"job {self.job_id}: reference_runtime_s")
+        # The checks run inline so the error label is formatted only on failure.
+        runtime = self.reference_runtime_s
+        if not math.isfinite(runtime) or runtime <= 0:
+            ensure_positive(runtime, f"job {self.job_id}: reference_runtime_s")
         if (self.min_nodes is None) != (self.max_nodes is None):
             raise ConfigurationError(
                 f"job {self.job_id}: min_nodes and max_nodes must be set together "
@@ -67,7 +69,7 @@ class Job:
                     f"1 <= min_nodes <= n_nodes <= max_nodes, got "
                     f"min={self.min_nodes}, n={self.n_nodes}, max={self.max_nodes}"
                 )
-        if not np.isfinite(self.shift_slack_s) or self.shift_slack_s < 0:
+        if not math.isfinite(self.shift_slack_s) or self.shift_slack_s < 0:
             raise ConfigurationError(
                 f"job {self.job_id}: shift_slack_s must be finite and "
                 f"non-negative, got {self.shift_slack_s}"
@@ -119,7 +121,9 @@ class JobRecord:
             raise ConfigurationError(
                 f"job {self.job.job_id}: started before submission"
             )
-        ensure_nonnegative(self.node_power_w, f"job {self.job.job_id}: node_power_w")
+        power = self.node_power_w
+        if not math.isfinite(power) or power < 0:
+            ensure_nonnegative(power, f"job {self.job.job_id}: node_power_w")
 
     @property
     def runtime_s(self) -> float:

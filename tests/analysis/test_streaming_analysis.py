@@ -112,9 +112,20 @@ class TestSummariseStreaming:
         assert stream.n_samples == batch.n_samples
         assert stream.span_days == pytest.approx(batch.span_days, rel=1e-9)
 
+    @pytest.mark.parametrize("chunk_size", [1, 256, 4096])
+    def test_percentiles_exact_below_one_sketch_block(self, chunk_size):
+        # ~4,900 valid samples stay in the sketch's first block, so the
+        # bimodal step's percentiles equal the batch ones bit for bit.
+        series = step_series()
+        batch = summarise(series)
+        stream = summarise_streaming(series, chunk_size=chunk_size)
+        assert stream.p5 == batch.p5
+        assert stream.median == batch.median
+        assert stream.p95 == batch.p95
+
     def test_percentiles_approximate_batch(self):
-        # Stationary (no step): P² is asymptotically accurate for unimodal
-        # data; the bimodal step case is covered by the exact moments above.
+        # 20,000 valid samples overflow one 16,384-sample sketch block, so
+        # one fold makes the percentiles approximate (well inside 2 %).
         series = step_series(20_000, split=0)
         batch = summarise(series)
         stream = summarise_streaming(series, chunk_size=4096)

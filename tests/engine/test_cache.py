@@ -170,17 +170,6 @@ class TestConcurrentWriters:
         assert target.stat().st_mtime_ns == before  # untouched, not rewritten
         assert store.stats()["skipped_writes"] == 1
 
-    def test_put_chunk_overwrite_republishes(self, tmp_path):
-        spec = small_spec()
-        store = SweepStore(tmp_path)
-        result = run_sweep(spec, chunk_size=8, store=store)
-        columns = {name: result.columns[name][:8] for name in COLUMNS}
-        target = store.chunk_path(spec.spec_hash, 0, 8)
-        target.write_bytes(b"corrupted")
-        store.put_chunk(spec, 0, 8, columns, overwrite=True)
-        assert store.skipped_writes == 0
-        assert store.get_chunk(spec.spec_hash, 0, 8, COLUMNS) is not None
-
     def test_two_writers_racing_one_chunk(self, tmp_path):
         """Regression: two threads publishing the same chunk concurrently
         leave exactly one valid, readable copy behind."""

@@ -82,13 +82,23 @@ class TestDispatch:
         assert main(["run", "--list"]) == 0
         assert "T1" in capsys.readouterr().out.split()
 
-    def test_legacy_form_warns_but_works(self, capsys):
-        assert main(["--list"]) == 0
+    def assert_usage_error(self, argv, capsys):
+        assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "T1" in captured.out.split()
+        assert captured.out == ""
+        assert "repro run <ID>" in captured.err
+        assert "sweep" in captured.err
 
-    def test_legacy_experiment_form_prints_notice(self, capsys):
-        assert main(["ZZ"]) == 2
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-        assert "unknown" in err
+    def test_bare_experiment_id_exits_2(self, capsys):
+        self.assert_usage_error(["T4"], capsys)
+
+    def test_bare_list_flag_exits_2(self, capsys):
+        self.assert_usage_error(["--list"], capsys)
+
+    def test_no_subcommand_exits_2(self, capsys):
+        self.assert_usage_error([], capsys)
+
+    def test_help_prints_subcommands_and_exits_0(self, capsys):
+        for flag in ("-h", "--help"):
+            assert main([flag]) == 0
+            assert "repro run <ID>" in capsys.readouterr().out

@@ -1,8 +1,10 @@
 """Job, JobRecord and WorkloadMix tests."""
 
+import math
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnitError
 from repro.node.pstates import FrequencySetting
 from repro.workload.applications import full_catalogue
 from repro.workload.jobs import Job, JobRecord
@@ -46,6 +48,21 @@ class TestJob:
         with pytest.raises(Exception):
             make_job(vasp, reference_runtime_s=0.0)
 
+    def test_invalid_fields_rejected_with_job_label(self, vasp):
+        invalid = [
+            ("submit_time_s", math.nan, ConfigurationError),
+            ("submit_time_s", math.inf, ConfigurationError),
+            ("shift_slack_s", math.nan, ConfigurationError),
+            ("shift_slack_s", math.inf, ConfigurationError),
+            ("shift_slack_s", -1.0, ConfigurationError),
+            ("reference_runtime_s", -1.0, UnitError),
+            ("reference_runtime_s", math.nan, UnitError),
+            ("reference_runtime_s", math.inf, UnitError),
+        ]
+        for field, value, error in invalid:
+            with pytest.raises(error, match=f"job 7: {field}"):
+                make_job(vasp, job_id=7, **{field: value})
+
 
 class TestJobRecord:
     def make_record(self, vasp, **kwargs):
@@ -80,6 +97,11 @@ class TestJobRecord:
     def test_start_before_submit_rejected(self, vasp):
         with pytest.raises(ConfigurationError):
             self.make_record(vasp, start_time_s=-1.0)
+
+    def test_invalid_node_power_rejected_with_job_label(self, vasp):
+        for power in (-1.0, math.nan, math.inf):
+            with pytest.raises(UnitError, match="job 1: node_power_w"):
+                self.make_record(vasp, node_power_w=power)
 
 
 class TestWorkloadMix:
